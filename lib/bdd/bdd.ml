@@ -1,9 +1,7 @@
 type t =
   | Zero
   | One
-  | Node of node
-
-and node = { uid : int; v : int; lo : t; hi : t }
+  | Node of { uid : int; v : int; lo : t; hi : t }
 
 let id = function Zero -> 0 | One -> 1 | Node n -> n.uid
 
@@ -34,34 +32,25 @@ let leaf_var = max_int
 
 let var_of = function Zero | One -> leaf_var | Node n -> n.v
 
-module Key3 = struct
-  type t = int * int * int
-
-  let equal (a1, b1, c1) (a2, b2, c2) = a1 = a2 && b1 = b2 && c1 = c2
-  let hash (a, b, c) = (a * 0x9e3779b1) lxor (b * 0x85ebca77) lxor (c * 0xc2b2ae3d)
-end
-
-module H3 = Hashtbl.Make (Key3)
-
-module Key2 = struct
-  type t = int * int
-
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = (a * 0x9e3779b1) lxor (b * 0x85ebca77)
-end
-
-module H2 = Hashtbl.Make (Key2)
+let hash a b c =
+  let h = (a * 0x9e3779b1) + (b * 0x85ebca77) + (c * 0xc2b2ae3d) in
+  h lxor (h lsr 31)
 
 type varset = { vs_id : int; bits : Bytes.t; max_var : int }
 
 type manager = {
-  unique : t H3.t; (* (v, lo_uid, hi_uid) -> node *)
+  (* Unique table: open addressing with linear probing on a node's own
+     (v, lo, hi); [Zero] marks an empty slot. Load stays <= 1/2. *)
+  mutable unique : t array;
+  mutable live : int; (* unique-table population *)
   mutable next_uid : int;
-  apply_cache : t H3.t; (* (op, id1, id2) -> result *)
-  not_cache : (int, t) Hashtbl.t;
-  ite_cache : t H3.t; (* (id1, id2, id3) -> result; disambiguated from
-                         apply by clearing both together and distinct use *)
-  quant_cache : t H3.t; (* (op, vs_id*nodes, id) *)
+  (* Computed table: direct-mapped, lossy, shared by every operation.
+     Slot i maps key (k1.(i), k2.(i), k3.(i)) to res.(i); k1 carries
+     the operation tag, and -1 marks an empty slot. *)
+  mutable k1 : int array;
+  mutable k2 : int array;
+  mutable k3 : int array;
+  mutable res : t array;
   mutable next_vs_id : int;
   roots : (int, t * int) Hashtbl.t; (* uid -> (diagram, refcount) *)
   mutable gc_watermark : int; (* allocations between sweeps; 0 = GC off *)
@@ -70,21 +59,33 @@ type manager = {
      noise next to the probe itself). Surfaced by [counters] into the
      engines' observability tracks. *)
   mutable n_alloc : int; (* nodes created (unique-table inserts) *)
-  mutable n_hit : int; (* operation-cache hits, all caches *)
-  mutable n_miss : int; (* operation-cache misses, all caches *)
+  mutable n_hit : int; (* computed-table hits *)
+  mutable n_miss : int; (* computed-table misses *)
   mutable n_sweep : int; (* clear_caches calls *)
   mutable n_gc : int; (* mark-and-sweep collections *)
   mutable peak : int; (* largest unique-table population seen *)
 }
 
-let create_manager ?(cache_size = 65_536) ?(gc_watermark = 0) () =
+(* Both tables start at [initial_slots]; the computed table doubles
+   with the unique table until it reaches [cache_cap] entries. *)
+let initial_slots = 4096
+let cache_cap = 1 lsl 18
+
+let resize_cache m n =
+  m.k1 <- Array.make n (-1);
+  m.k2 <- Array.make n 0;
+  m.k3 <- Array.make n 0;
+  m.res <- Array.make n Zero
+
+let create_manager ?(gc_watermark = 0) () =
   {
-    unique = H3.create cache_size;
+    unique = Array.make initial_slots Zero;
+    live = 0;
     next_uid = 2;
-    apply_cache = H3.create cache_size;
-    not_cache = Hashtbl.create cache_size;
-    ite_cache = H3.create cache_size;
-    quant_cache = H3.create cache_size;
+    k1 = Array.make initial_slots (-1);
+    k2 = Array.make initial_slots 0;
+    k3 = Array.make initial_slots 0;
+    res = Array.make initial_slots Zero;
     next_vs_id = 0;
     roots = Hashtbl.create 64;
     gc_watermark;
@@ -99,27 +100,82 @@ let create_manager ?(cache_size = 65_536) ?(gc_watermark = 0) () =
 
 let clear_caches m =
   m.n_sweep <- m.n_sweep + 1;
-  H3.reset m.apply_cache;
-  Hashtbl.reset m.not_cache;
-  H3.reset m.ite_cache;
-  H3.reset m.quant_cache
+  Array.fill m.k1 0 (Array.length m.k1) (-1);
+  Array.fill m.res 0 (Array.length m.res) Zero
+
+(* Operation tags folded into the computed table's first key. *)
+let op_and = 0
+let op_or = 1
+let op_xor = 2
+let op_restrict = 3
+let op_not = 4
+let op_ite = 5
+let q_exists = 6
+let q_forall = 7
+let q_and_exists = 8
+
+(* Returned by [cache_find] on a miss; never a real diagram. *)
+let absent = Node { uid = -1; v = leaf_var; lo = Zero; hi = Zero }
+
+let cache_find m tag a b c =
+  let k = (a lsl 4) lor tag in
+  let i = hash k b c land (Array.length m.k1 - 1) in
+  if m.k1.(i) = k && m.k2.(i) = b && m.k3.(i) = c then (
+    m.n_hit <- m.n_hit + 1;
+    m.res.(i))
+  else (
+    m.n_miss <- m.n_miss + 1;
+    absent)
+
+(* Stores and returns [r]. The slot is recomputed, not remembered from
+   [cache_find]: the recursion in between may have resized the table. *)
+let cache_add m tag a b c r =
+  let k = (a lsl 4) lor tag in
+  let i = hash k b c land (Array.length m.k1 - 1) in
+  m.k1.(i) <- k;
+  m.k2.(i) <- b;
+  m.k3.(i) <- c;
+  m.res.(i) <- r;
+  r
+
+(* The slot holding node (v, lo, hi), or the empty slot where it
+   belongs. *)
+let rec probe tbl v lo hi i =
+  match Array.unsafe_get tbl i with
+  | Node n when n.v <> v || n.lo != lo || n.hi != hi ->
+      probe tbl v lo hi ((i + 1) land (Array.length tbl - 1))
+  | _ -> i
+
+let slot tbl v lo hi =
+  probe tbl v lo hi (hash v (id lo) (id hi) land (Array.length tbl - 1))
+
+let grow m =
+  let old = m.unique in
+  let tbl = Array.make (2 * Array.length old) Zero in
+  Array.iter
+    (function Node n as d -> tbl.(slot tbl n.v n.lo n.hi) <- d | _ -> ())
+    old;
+  m.unique <- tbl;
+  if Array.length m.k1 < cache_cap then
+    resize_cache m (min cache_cap (Array.length tbl))
 
 (* Hash-consing constructor with the two ROBDD reduction rules. *)
 let mk m v lo hi =
   if lo == hi then lo
   else
-    let key = (v, id lo, id hi) in
-    match H3.find_opt m.unique key with
-    | Some d -> d
-    | None ->
+    let i = slot m.unique v lo hi in
+    match m.unique.(i) with
+    | Zero ->
         let d = Node { uid = m.next_uid; v; lo; hi } in
+        m.unique.(i) <- d;
         m.next_uid <- m.next_uid + 1;
         m.n_alloc <- m.n_alloc + 1;
         m.alloc_since_gc <- m.alloc_since_gc + 1;
-        H3.add m.unique key d;
-        let pop = H3.length m.unique in
-        if pop > m.peak then m.peak <- pop;
+        m.live <- m.live + 1;
+        if m.live > m.peak then m.peak <- m.live;
+        if 2 * m.live > Array.length m.unique then grow m;
         d
+    | d -> d
 
 (* ------------------------------------------------------------------ *)
 (* Root registry and mark-and-sweep node reclamation.
@@ -127,9 +183,9 @@ let mk m v lo hi =
    Hash-consing never forgets a node, so a long fixpoint run grows the
    unique table with every intermediate result it will never look at
    again. The registry lets a client name the diagrams it still holds;
-   [gc] then drops every unregistered node from the unique table and
-   resets the operation caches (whose entries may reference swept
-   uids), making the dead nodes collectible by the OCaml GC.
+   [gc] then rebuilds the unique table from the nodes they reach and
+   clears the computed table (whose entries may reference swept nodes),
+   making the dead nodes collectible by the OCaml GC.
 
    Canonicity survives a sweep because reachability is closed under
    subdiagrams: every kept node's children are kept, and any later
@@ -158,28 +214,25 @@ let root_decr m d =
 let gc m =
   m.n_gc <- m.n_gc + 1;
   m.alloc_since_gc <- 0;
-  let marked = Hashtbl.create ((H3.length m.unique / 2) + 16) in
-  (* Recursion depth is bounded by the variable count, not the node
-     count: the diagrams are ordered. *)
+  (* The fresh table doubles as the mark set. Recursion depth is bounded
+     by the variable count: the diagrams are ordered. *)
+  let tbl = Array.make (Array.length m.unique) Zero in
+  m.unique <- tbl;
+  m.live <- 0;
   let rec mark = function
     | Zero | One -> ()
-    | Node n ->
-        if not (Hashtbl.mem marked n.uid) then begin
-          Hashtbl.add marked n.uid ();
+    | Node n as d ->
+        let i = slot tbl n.v n.lo n.hi in
+        if tbl.(i) == Zero then begin
+          tbl.(i) <- d;
+          m.live <- m.live + 1;
           mark n.lo;
           mark n.hi
         end
   in
   Hashtbl.iter (fun _ (d, _) -> mark d) m.roots;
-  H3.filter_map_inplace
-    (fun _ d ->
-      match d with
-      | Node n -> if Hashtbl.mem marked n.uid then Some d else None
-      | Zero | One -> Some d)
-    m.unique;
-  (* The operation caches key and hold possibly-swept uids: a stale
-     hit would resurrect a dead node as a physically distinct twin of
-     a future rebuild, so they go wholesale. *)
+  (* A stale computed-table hit would resurrect a swept node as a
+     physically distinct twin of a future rebuild. *)
   clear_caches m
 
 let maybe_gc m =
@@ -189,7 +242,7 @@ let set_gc_watermark m n =
   if n < 0 then invalid_arg "Bdd.set_gc_watermark: negative watermark";
   m.gc_watermark <- n
 
-let live_nodes m = H3.length m.unique
+let live_nodes m = m.live
 let peak_nodes m = m.peak
 let gc_count m = m.n_gc
 
@@ -205,23 +258,13 @@ let rec dnot m d =
   match d with
   | Zero -> One
   | One -> Zero
-  | Node n -> (
-      match Hashtbl.find_opt m.not_cache n.uid with
-      | Some r ->
-          m.n_hit <- m.n_hit + 1;
-          r
-      | None ->
-          m.n_miss <- m.n_miss + 1;
-          let r = mk m n.v (dnot m n.lo) (dnot m n.hi) in
-          Hashtbl.add m.not_cache n.uid r;
-          r)
+  | Node n ->
+      let r = cache_find m op_not n.uid 0 0 in
+      if r != absent then r
+      else cache_add m op_not n.uid 0 0 (mk m n.v (dnot m n.lo) (dnot m n.hi))
 
 (* Binary boolean operations share one memoized apply; the op code keys
    the cache. Terminal cases are dispatched per operation. *)
-let op_and = 0
-let op_or = 1
-let op_xor = 2
-
 let rec apply m op a b =
   let terminal =
     match op with
@@ -250,20 +293,15 @@ let rec apply m op a b =
   | None ->
       (* Commutative: normalize the cache key. *)
       let ia = id a and ib = id b in
-      let key = if ia <= ib then (op, ia, ib) else (op, ib, ia) in
-      (match H3.find_opt m.apply_cache key with
-      | Some r ->
-          m.n_hit <- m.n_hit + 1;
-          r
-      | None ->
-          m.n_miss <- m.n_miss + 1;
-          let va = var_of a and vb = var_of b in
-          let v = min va vb in
-          let a0, a1 = if va = v then (low a, high a) else (a, a) in
-          let b0, b1 = if vb = v then (low b, high b) else (b, b) in
-          let r = mk m v (apply m op a0 b0) (apply m op a1 b1) in
-          H3.add m.apply_cache key r;
-          r)
+      let i1, i2 = if ia <= ib then (ia, ib) else (ib, ia) in
+      let r = cache_find m op i1 i2 0 in
+      if r != absent then r
+      else
+        let va = var_of a and vb = var_of b in
+        let v = min va vb in
+        let a0, a1 = if va = v then (low a, high a) else (a, a) in
+        let b0, b1 = if vb = v then (low b, high b) else (b, b) in
+        cache_add m op i1 i2 0 (mk m v (apply m op a0 b0) (apply m op a1 b1))
 
 let dand m a b = apply m op_and a b
 let dor m a b = apply m op_or a b
@@ -279,54 +317,35 @@ let rec ite m f g h =
       if g == h then g
       else if g == One && h == Zero then f
       else
-        let key = (id f, id g, id h) in
-        (match H3.find_opt m.ite_cache key with
-        | Some r ->
-            m.n_hit <- m.n_hit + 1;
-            r
-        | None ->
-            m.n_miss <- m.n_miss + 1;
-            let v = min (var_of f) (min (var_of g) (var_of h)) in
-            let cof d =
-              if var_of d = v then (low d, high d) else (d, d)
-            in
-            let f0, f1 = cof f and g0, g1 = cof g and h0, h1 = cof h in
-            let r = mk m v (ite m f0 g0 h0) (ite m f1 g1 h1) in
-            H3.add m.ite_cache key r;
-            r)
+        let r = cache_find m op_ite (id f) (id g) (id h) in
+        if r != absent then r
+        else
+          let v = min (var_of f) (min (var_of g) (var_of h)) in
+          let cof d = if var_of d = v then (low d, high d) else (d, d) in
+          let f0, f1 = cof f and g0, g1 = cof g and h0, h1 = cof h in
+          cache_add m op_ite (id f) (id g) (id h)
+            (mk m v (ite m f0 g0 h0) (ite m f1 g1 h1))
 
 let conj m l = List.fold_left (dand m) One l
 let disj m l = List.fold_left (dor m) Zero l
 
-let size d =
+(* The variables of the distinct internal nodes reachable from [d], one
+   per node. *)
+let node_vars d =
   let seen = Hashtbl.create 64 in
-  let rec go = function
-    | Zero | One -> ()
+  let rec go acc = function
+    | Zero | One -> acc
     | Node n ->
-        if not (Hashtbl.mem seen n.uid) then begin
+        if Hashtbl.mem seen n.uid then acc
+        else begin
           Hashtbl.add seen n.uid ();
-          go n.lo;
-          go n.hi
+          go (go (n.v :: acc) n.lo) n.hi
         end
   in
-  go d;
-  Hashtbl.length seen
+  go [] d
 
-let support d =
-  let seen = Hashtbl.create 64 in
-  let vars = Hashtbl.create 16 in
-  let rec go = function
-    | Zero | One -> ()
-    | Node n ->
-        if not (Hashtbl.mem seen n.uid) then begin
-          Hashtbl.add seen n.uid ();
-          Hashtbl.replace vars n.v ();
-          go n.lo;
-          go n.hi
-        end
-  in
-  go d;
-  Hashtbl.fold (fun v () acc -> v :: acc) vars [] |> List.sort compare
+let size d = List.length (node_vars d)
+let support d = List.sort_uniq compare (node_vars d)
 
 let varset m vars =
   let max_var = List.fold_left max (-1) vars in
@@ -342,33 +361,24 @@ let varset m vars =
 
 let vs_mem vs v = v <= vs.max_var && Bytes.get vs.bits v = '\001'
 
-(* Quantification ops share quant_cache; key is (op*big + vs_id, id, id2)
-   where binary and_exists uses id2 and unary exists uses 0. *)
-let q_exists = 0
-let q_forall = 1
-let q_and_exists = 2
-
+(* Quantifications key the computed table by (op, node, varset): the
+   unary ones with their op tag, and_exists with its own. *)
 let rec quant m op vs d =
   match d with
   | Zero | One -> d
   | Node n ->
       if n.v > vs.max_var then d
       else
-        let key = ((op * 0x10000) + vs.vs_id, n.uid, 0) in
-        (match H3.find_opt m.quant_cache key with
-        | Some r ->
-            m.n_hit <- m.n_hit + 1;
-            r
-        | None ->
-            m.n_miss <- m.n_miss + 1;
-            let l = quant m op vs n.lo and h = quant m op vs n.hi in
-            let r =
-              if vs_mem vs n.v then
-                if op = q_exists then dor m l h else dand m l h
-              else mk m n.v l h
-            in
-            H3.add m.quant_cache key r;
-            r)
+        let r = cache_find m op n.uid vs.vs_id 0 in
+        if r != absent then r
+        else
+          let l = quant m op vs n.lo and h = quant m op vs n.hi in
+          let r =
+            if vs_mem vs n.v then
+              if op = q_exists then dor m l h else dand m l h
+            else mk m n.v l h
+          in
+          cache_add m op n.uid vs.vs_id 0 r
 
 let exists m vs d = quant m q_exists vs d
 let forall m vs d = quant m q_forall vs d
@@ -382,28 +392,23 @@ let rec and_exists m vs a b =
       else
         let ia = id a and ib = id b in
         let i1, i2 = if ia <= ib then (ia, ib) else (ib, ia) in
-        let key = ((q_and_exists * 0x10000) + vs.vs_id, i1, i2) in
-        (match H3.find_opt m.quant_cache key with
-        | Some r ->
-            m.n_hit <- m.n_hit + 1;
-            r
-        | None ->
-            m.n_miss <- m.n_miss + 1;
-            let va = var_of a and vb = var_of b in
-            let v = min va vb in
-            let a0, a1 = if va = v then (low a, high a) else (a, a) in
-            let b0, b1 = if vb = v then (low b, high b) else (b, b) in
-            let r =
-              if v > vs.max_var then
-                (* No quantified variable can appear below: plain and. *)
-                dand m a b
-              else if vs_mem vs v then
-                let l = and_exists m vs a0 b0 in
-                if l == One then One else dor m l (and_exists m vs a1 b1)
-              else mk m v (and_exists m vs a0 b0) (and_exists m vs a1 b1)
-            in
-            H3.add m.quant_cache key r;
-            r)
+        let r = cache_find m q_and_exists i1 i2 vs.vs_id in
+        if r != absent then r
+        else
+          let va = var_of a and vb = var_of b in
+          let v = min va vb in
+          let a0, a1 = if va = v then (low a, high a) else (a, a) in
+          let b0, b1 = if vb = v then (low b, high b) else (b, b) in
+          let r =
+            if v > vs.max_var then
+              (* No quantified variable can appear below: plain and. *)
+              dand m a b
+            else if vs_mem vs v then
+              let l = and_exists m vs a0 b0 in
+              if l == One then One else dor m l (and_exists m vs a1 b1)
+            else mk m v (and_exists m vs a0 b0) (and_exists m vs a1 b1)
+          in
+          cache_add m q_and_exists i1 i2 vs.vs_id r
 
 let rename m f d =
   let memo = Hashtbl.create 256 in
@@ -441,37 +446,30 @@ let rec cofactor m i b d =
    [c] as a care set. The result agrees with [f] wherever [c] holds and
    is unconstrained elsewhere, which sibling substitution exploits to
    merge subgraphs: when one branch of [c] is empty, the whole decision
-   collapses onto the other branch of [f]. Shares the apply cache
-   discipline of the other binary operators (non-commutative key). *)
-let op_restrict = 3
-
+   collapses onto the other branch of [f]. Memoized under its own tag
+   (non-commutative key). *)
 let rec restrict m f c =
   if c == One || f == Zero || f == One then f
   else if c == Zero then f (* empty care set: nothing to preserve *)
   else if f == c then One
   else
-    let key = (op_restrict, id f, id c) in
-    match H3.find_opt m.apply_cache key with
-    | Some r ->
-        m.n_hit <- m.n_hit + 1;
-        r
-    | None ->
-        m.n_miss <- m.n_miss + 1;
-        let vf = var_of f and vc = var_of c in
-        let r =
-          if vc < vf then
-            (* The care set branches above [f]: no cofactor of [f] to
-               pick, so forget the distinction ([exists vc c]). *)
-            restrict m f (dor m (low c) (high c))
-          else
-            let v = vf in
-            let c0, c1 = if vc = v then (low c, high c) else (c, c) in
-            if c0 == Zero then restrict m (high f) c1
-            else if c1 == Zero then restrict m (low f) c0
-            else mk m v (restrict m (low f) c0) (restrict m (high f) c1)
-        in
-        H3.add m.apply_cache key r;
-        r
+    let r = cache_find m op_restrict (id f) (id c) 0 in
+    if r != absent then r
+    else
+      let vf = var_of f and vc = var_of c in
+      let r =
+        if vc < vf then
+          (* The care set branches above [f]: no cofactor of [f] to
+             pick, so forget the distinction ([exists vc c]). *)
+          restrict m f (dor m (low c) (high c))
+        else
+          let v = vf in
+          let c0, c1 = if vc = v then (low c, high c) else (c, c) in
+          if c0 == Zero then restrict m (high f) c1
+          else if c1 == Zero then restrict m (low f) c0
+          else mk m v (restrict m (low f) c0) (restrict m (high f) c1)
+      in
+      cache_add m op_restrict (id f) (id c) 0 r
 
 let any_sat d =
   let rec go acc = function
@@ -547,12 +545,10 @@ let counters m =
 
 let stats m =
   Printf.sprintf
-    "unique=%d peak=%d apply=%d not=%d ite=%d quant=%d next_uid=%d hits=%d \
-     misses=%d allocs=%d sweeps=%d gcs=%d roots=%d"
-    (H3.length m.unique) m.peak (H3.length m.apply_cache)
-    (Hashtbl.length m.not_cache) (H3.length m.ite_cache)
-    (H3.length m.quant_cache) m.next_uid m.n_hit m.n_miss m.n_alloc m.n_sweep
-    m.n_gc (Hashtbl.length m.roots)
+    "unique=%d/%d peak=%d computed=%d next_uid=%d hits=%d misses=%d \
+     allocs=%d sweeps=%d gcs=%d roots=%d"
+    m.live (Array.length m.unique) m.peak (Array.length m.k1) m.next_uid
+    m.n_hit m.n_miss m.n_alloc m.n_sweep m.n_gc (Hashtbl.length m.roots)
 
 (* Exported names for the root registry; defined last because [ref]
    shadows [Stdlib.ref]. *)

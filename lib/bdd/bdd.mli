@@ -11,18 +11,19 @@
 
 type manager
 (** Mutable state shared by a family of diagrams: the unique-node table
-    and the operation caches. *)
+    and the computed table that memoizes operations. *)
 
 type t
 (** A BDD node. Diagrams are immutable and maximally shared. *)
 
-val create_manager : ?cache_size:int -> ?gc_watermark:int -> unit -> manager
-(** [create_manager ()] returns a fresh manager with empty caches.
-    [cache_size] is the initial size hint of the internal hash tables;
+val create_manager : ?gc_watermark:int -> unit -> manager
+(** [create_manager ()] returns a fresh manager with small, empty
+    tables that size themselves: the computed table (direct-mapped and
+    lossy) grows with the unique table up to a fixed cap.
     [gc_watermark] (default [0] = never collect) arms {!maybe_gc}. *)
 
 val clear_caches : manager -> unit
-(** Drop the operation caches (the unique table is kept, so existing
+(** Empty the computed table (the unique table is kept, so existing
     diagrams stay valid). Useful between unrelated fixpoint runs. *)
 
 (** {1 Root registry and node reclamation}
@@ -30,7 +31,7 @@ val clear_caches : manager -> unit
     Hash-consing alone never forgets a node: a long fixpoint run grows
     the unique table with every intermediate result. The root registry
     names the diagrams a client still holds; {!gc} then sweeps every
-    unregistered node out of the unique table and operation caches so
+    unregistered node out of the unique table and computed table so
     the OCaml GC can reclaim them.
 
     {b Client obligation:} when {!gc}/{!maybe_gc} runs, every diagram
@@ -55,8 +56,8 @@ val with_root : manager -> t -> (unit -> 'a) -> 'a
 
 val gc : manager -> unit
 (** Mark from the registered roots and sweep: unmarked nodes leave the
-    unique table, and the operation caches are reset (they may hold
-    swept uids). Existing rooted diagrams remain valid and canonical. *)
+    unique table, and the computed table is cleared (it may hold
+    swept nodes). Existing rooted diagrams remain valid and canonical. *)
 
 val maybe_gc : manager -> unit
 (** Run {!gc} iff the manager has a positive watermark and at least
@@ -183,7 +184,7 @@ val iter_sat : nvars:int -> t -> (bool array -> unit) -> unit
 val counters : manager -> (string * int) list
 (** Effort counters as an open counter set, sorted by name: node
     allocations ([bdd.nodes_allocated]), operation-cache hits and
-    misses across all caches ([bdd.cache_hits]/[bdd.cache_misses]),
+    misses of the computed table ([bdd.cache_hits]/[bdd.cache_misses]),
     cache sweeps ([bdd.cache_sweeps], one per {!clear_caches}) and
     mark-and-sweep collections ([bdd.gc_count]). Monotone counters
     only — the {!live_nodes}/{!peak_nodes} populations are gauges and
@@ -192,4 +193,5 @@ val counters : manager -> (string * int) list
     golden test. *)
 
 val stats : manager -> string
-(** Human-readable cache/unique-table statistics. *)
+(** Human-readable statistics: unique-table population and slots,
+    filled and total computed-table entries, and the effort counters. *)

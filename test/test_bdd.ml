@@ -29,14 +29,14 @@ let rec build m = function
   | F_xor (a, b) -> Bdd.xor m (build m a) (build m b)
   | F_ite (c, t, e) -> Bdd.ite m (build m c) (build m t) (build m e)
 
-let form_gen =
+let form_gen_over nv =
   let open QCheck.Gen in
   sized @@ fix (fun self n ->
-      if n <= 0 then map (fun i -> F_var i) (int_bound (nvars - 1))
+      if n <= 0 then map (fun i -> F_var i) (int_bound (nv - 1))
       else
         frequency
           [
-            (1, map (fun i -> F_var i) (int_bound (nvars - 1)));
+            (1, map (fun i -> F_var i) (int_bound (nv - 1)));
             (2, map (fun f -> F_not f) (self (n - 1)));
             (3, map2 (fun a b -> F_and (a, b)) (self (n / 2)) (self (n / 2)));
             (3, map2 (fun a b -> F_or (a, b)) (self (n / 2)) (self (n / 2)));
@@ -47,11 +47,13 @@ let form_gen =
                 (self (n / 3)) (self (n / 3)) (self (n / 3)) );
           ])
 
-let form_arb = QCheck.make ~print:(fun _ -> "<form>") form_gen
+let form_arb_over nv = QCheck.make ~print:(fun _ -> "<form>") (form_gen_over nv)
+let form_arb = form_arb_over nvars
 
-let all_envs () =
-  List.init (1 lsl nvars) (fun k ->
-      Array.init nvars (fun i -> (k lsr i) land 1 = 1))
+let envs nv =
+  List.init (1 lsl nv) (fun k -> Array.init nv (fun i -> (k lsr i) land 1 = 1))
+
+let all_envs () = envs nvars
 
 (* Evaluate a BDD under an environment by following the decision path. *)
 let rec eval_bdd env d =
@@ -329,9 +331,85 @@ let prop_gc_transparent =
       Bdd.deref m df;
       ok)
 
+(* ------------------------------------------------------------------ *)
+(* The computed table is direct-mapped and lossy, and one table serves
+   every operation. This property shares a single manager across all
+   its cases, over more variables than the others, so the unique table
+   outgrows its initial 4096 slots and computed-table entries are
+   overwritten while results are still being reused. Each case runs
+   every operation twice on the same operands; every 20th case sweeps
+   all but the rooted operands between the two passes. *)
+
+let wide = 10
+let wide_envs = envs wide
+
+(* [p] holds under some reassignment of the variables [vs]. *)
+let exists_over vs p env =
+  let env = Array.copy env in
+  let rec go = function
+    | [] -> p env
+    | v :: rest ->
+        List.exists
+          (fun b ->
+            env.(v) <- b;
+            go rest)
+          [ false; true ]
+  in
+  go vs
+
+let prop_shared_manager =
+  let m = Bdd.create_manager () in
+  let count = 200 and case = ref 0 in
+  QCheck.Test.make ~name:"lossy computed table on a shared manager" ~count
+    (QCheck.triple (form_arb_over wide) (form_arb_over wide)
+       (QCheck.list_of_size (QCheck.Gen.int_range 1 3)
+          (QCheck.int_bound (wide - 1))))
+    (fun (f, g, vs) ->
+      incr case;
+      let df = build m f and dg = build m g in
+      (* Operands stay rooted for the whole run, so the table keeps
+         growing across sweeps. *)
+      Bdd.ref m df;
+      Bdd.ref m dg;
+      let set = Bdd.varset m vs in
+      let f_ env = eval env f and g_ env = eval env g in
+      let exact p env r = r = p env in
+      let ops =
+        [
+          ((fun () -> Bdd.dand m df dg), exact (fun e -> f_ e && g_ e));
+          ((fun () -> Bdd.restrict m df dg), fun e r -> (not (g_ e)) || r = f_ e);
+          ((fun () -> Bdd.dor m df dg), exact (fun e -> f_ e || g_ e));
+          ((fun () -> Bdd.exists m set df), exact (exists_over vs f_));
+          ((fun () -> Bdd.xor m df dg), exact (fun e -> f_ e <> g_ e));
+          ((fun () -> Bdd.dnot m df), exact (fun e -> not (f_ e)));
+          ( (fun () -> Bdd.ite m df dg (Bdd.dnot m dg)),
+            exact (fun e -> if f_ e then g_ e else not (g_ e)) );
+          ( (fun () -> Bdd.and_exists m set df dg),
+            exact (exists_over vs (fun e -> f_ e && g_ e)) );
+        ]
+      in
+      let first = List.map (fun (op, _) -> op ()) ops in
+      let sweep = !case mod 20 = 0 in
+      if sweep then Bdd.gc m;
+      let again = List.map (fun (op, _) -> op ()) ops in
+      let right d (_, check) =
+        List.for_all (fun e -> check e (eval_bdd e d)) wide_envs
+      in
+      (* Identity renaming rebuilds a diagram through the unique table
+         alone, so it must return the very same node. After a sweep, a
+         stale computed-table hit would return a swept twin instead. *)
+      let canonical d = Bdd.equal (Bdd.rename m Fun.id d) d in
+      List.for_all2 right first ops
+      && List.for_all2 right again ops
+      && List.for_all canonical again
+      && (sweep || List.for_all2 Bdd.equal first again)
+      && Bdd.equal (build m f) df
+      && (!case < count || Bdd.peak_nodes m > 4096 / 2))
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_shared_manager;
       prop_cofactor_drops_var;
       prop_restrict_sound;
       prop_restrict_full_care;

@@ -120,6 +120,43 @@ let test_full_shifting_violated_and_traces_agree () =
       | Error e -> Alcotest.failf "invalid trace: %s" e)
     [ bdd_trace; bmc_trace ]
 
+(* The default BDD path's exact work on E1-E5 at 3 nodes: verdict,
+   iterations, trace length and node allocations. The kernel's table
+   layout only changes speed; a change in these counts is a change in
+   the algorithm. *)
+let test_section5_work_pinned () =
+  let n = 3 in
+  List.iter
+    (fun (cfg, verdict, iterations, trace_len, allocated) ->
+      let mgr = Bdd.create_manager () in
+      let enc = Enc.create mgr (Tta_model.Build.model cfg) in
+      let bad = Tta_model.Props.integrated_node_frozen ~nodes:n in
+      let got, len, stats =
+        match Reach.check ~max_iterations:100 enc ~bad with
+        | Reach.Safe s -> ("safe", 0, s)
+        | Reach.Unsafe (t, s) -> ("violated", Array.length t, s)
+        | Reach.Depth_exhausted s -> ("exhausted", 0, s)
+      in
+      let name = Tta_model.Configs.name cfg in
+      Alcotest.(check string) (name ^ ": verdict") verdict got;
+      Alcotest.(check int) (name ^ ": iterations") iterations
+        stats.Reach.iterations;
+      Alcotest.(check int) (name ^ ": trace length") trace_len len;
+      Alcotest.(check int) (name ^ ": nodes allocated") allocated
+        (List.assoc "bdd.nodes_allocated" (Bdd.counters mgr)))
+    [
+      (Tta_model.Configs.passive ~nodes:n (), "safe", 24, 0, 156850);
+      (Tta_model.Configs.time_windows ~nodes:n (), "safe", 24, 0, 156850);
+      (Tta_model.Configs.small_shifting ~nodes:n (), "safe", 24, 0, 156850);
+      (Tta_model.Configs.full_shifting ~nodes:n (), "violated", 12, 13, 132167);
+      ( Tta_model.Configs.full_shifting ~nodes:n
+          ~forbid_cold_start_duplication:true (),
+        "violated",
+        19,
+        20,
+        190311 );
+    ]
+
 (* Semantic checks on the counterexample: the budget is respected, the
    replay actually happens, and the victim had integrated. *)
 let count_steps_with model trace pred =
@@ -458,6 +495,8 @@ let () =
             test_safe_configurations_proved;
           Alcotest.test_case "full shifting violated; engines agree" `Quick
             test_full_shifting_violated_and_traces_agree;
+          Alcotest.test_case "section 5 work pinned at 3 nodes" `Quick
+            test_section5_work_pinned;
           Alcotest.test_case "counterexample semantics" `Quick
             test_counterexample_semantics;
           Alcotest.test_case "cold-start duplication prohibited" `Quick
