@@ -614,7 +614,7 @@ let section_synth () =
   in
   let sessions = Sessions.create () in
   let server =
-    Service.Server.start ~workers:2 ~sessions (Service.Server.Unix_socket sock)
+    Service.Server.start ~workers:2 ~sessions (Service.Net.Unix_socket sock)
   in
   let service =
     Fun.protect

@@ -77,13 +77,7 @@ let print_stats router =
 let serve socket workers served_exe cache_dir cache_max sched_workers
     queue_cap sessions chaos hedge_ms breaker_window vnodes max_restarts
     restart_window kill_after grace =
-  let addr =
-    match Service.Server.addr_of_string socket with
-    | Ok a -> a
-    | Error e ->
-        prerr_endline ("tta_cluster: " ^ e);
-        exit 2
-  in
+  let addr = Cli.socket_addr ~exe:"tta_cluster" socket in
   mkdir_p cache_dir;
   (* The same spec arms two registries: each worker daemon's (where the
      engine_*/cache_*/sock_* points live) via --chaos pass-through, and
@@ -92,34 +86,25 @@ let serve socket workers served_exe cache_dir cache_max sched_workers
      from the seed. *)
   let faults = Cli.faults_of_chaos chaos in
   let router =
-    Cluster.Router.start ~vnodes ~max_restarts ~restart_window_s:restart_window
-      ?kill_after ~grace ~faults ~hedge_ms ~breaker_window
-      ~on_event:print_event ~exe:served_exe
-      ~worker_args:
-        (worker_args ~cache_dir ~cache_max ~sched_workers ~queue_cap ~sessions
-           ~chaos)
-      ~workers addr
+    match
+      Cluster.Router.start ~vnodes ~max_restarts
+        ~restart_window_s:restart_window ?kill_after ~grace ~faults ~hedge_ms
+        ~breaker_window ~on_event:print_event ~exe:served_exe
+        ~worker_args:
+          (worker_args ~cache_dir ~cache_max ~sched_workers ~queue_cap
+             ~sessions ~chaos)
+        ~workers addr
+    with
+    | r -> r
+    | exception Unix.Unix_error (e, _, _) ->
+        Cli.cannot_listen ~exe:"tta_cluster" addr e
   in
   let bound = Cluster.Router.bound_addr router in
-  let fields =
-    [
-      ("ready", Json.Bool true);
-      ("socket", Json.String (Service.Server.addr_to_string bound));
-    ]
-    @
-    match bound with
-    | Service.Server.Tcp (_, port) -> [ ("port", Json.Int port) ]
-    | Service.Server.Unix_socket _ -> []
-  in
-  print_string (Json.to_string (Json.Obj fields) ^ "\n");
+  print_endline (Service.Net.ready_line bound);
   Printf.printf "tta_cluster: routing %s across %d workers (cache %s)\n%!"
-    (Service.Server.addr_to_string bound)
+    (Service.Net.addr_to_string bound)
     workers cache_dir;
-  let handler =
-    Sys.Signal_handle (fun _ -> Cluster.Router.stop router)
-  in
-  Sys.set_signal Sys.sigterm handler;
-  Sys.set_signal Sys.sigint handler;
+  Service.Net.stop_on_signals (fun () -> Cluster.Router.stop router);
   Cluster.Router.wait router;
   print_stats router;
   if Resilience.Faults.enabled faults then begin
@@ -157,7 +142,7 @@ let bench_one ~served_exe ~requests ~concurrency ~stall_ms ~nodes_choices
   mkdir_p dir;
   let cache_dir = Filename.concat dir "cache" in
   mkdir_p cache_dir;
-  let addr = Service.Server.Unix_socket (Filename.concat dir "router.sock") in
+  let addr = Service.Net.Unix_socket (Filename.concat dir "router.sock") in
   let ready = Atomic.make 0 in
   (* 1200 vnodes pins a key->worker assignment that stays balanced at
      every bench fleet size (max 4/3/2 of the 8 routing keys on one
@@ -358,7 +343,7 @@ let res_row ~served_exe ~requests ~breaker_window ~label ~chaos ~hedge_ms =
   mkdir_p dir;
   let cache_dir = Filename.concat dir "cache" in
   mkdir_p cache_dir;
-  let addr = Service.Server.Unix_socket (Filename.concat dir "router.sock") in
+  let addr = Service.Net.Unix_socket (Filename.concat dir "router.sock") in
   let ready = Atomic.make 0 in
   let faults = Cli.faults_of_chaos chaos in
   let router =
@@ -407,7 +392,7 @@ let bench_resilience served_exe requests hedge_ms breaker_window json_path =
   in
   mkdir_p direct_dir;
   let direct_addr =
-    Service.Server.Unix_socket (Filename.concat direct_dir "direct.sock")
+    Service.Net.Unix_socket (Filename.concat direct_dir "direct.sock")
   in
   Printf.printf "tta_cluster: resilience bench, direct reference...\n%!";
   let server = Service.Server.start ~workers:2 direct_addr in

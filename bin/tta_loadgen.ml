@@ -13,13 +13,7 @@
 
 let main socket requests rate concurrency seed nodes depth nodes_choices_s
     depths_s deadline_ms configs_s engines_s retry_budget json_path =
-  let addr =
-    match Service.Server.addr_of_string socket with
-    | Ok a -> a
-    | Error e ->
-        prerr_endline ("tta_loadgen: " ^ e);
-        exit 2
-  in
+  let addr = Cli.socket_addr ~exe:"tta_loadgen" socket in
   let split s =
     match
       List.filter

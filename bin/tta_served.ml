@@ -12,13 +12,7 @@
 
 let main socket workers queue_cap cache_dir no_cache cache_max sessions
     session_cap grace chaos obs =
-  let addr =
-    match Service.Server.addr_of_string socket with
-    | Ok a -> a
-    | Error e ->
-        prerr_endline ("tta_served: " ^ e);
-        exit 2
-  in
+  let addr = Cli.socket_addr ~exe:"tta_served" socket in
   let faults = Cli.faults_of_chaos chaos in
   let cache =
     if no_cache then None
@@ -31,32 +25,30 @@ let main socket workers queue_cap cache_dir no_cache cache_max sessions
     if sessions then Some (Sessions.create ~capacity:session_cap ())
     else None
   in
-  Service.Server.serve ?cache ?sessions:session_pool ~workers ~queue_cap
-    ?obs:(Cli.obs_collector obs) ~faults ~grace
-    ~on_ready:(fun srv ->
-      (* Machine-readable readiness first — supervisors (the cluster
-         router, CI scripts) parse this one line to learn the bound
-         address, including a kernel-assigned port for --socket HOST:0.
-         The human-oriented banner follows. *)
-      let bound = Service.Server.bound_addr srv in
-      let fields =
-        [
-          ("ready", Json.Bool true);
-          ("socket", Json.String (Service.Server.addr_to_string bound));
-        ]
-        @
-        match bound with
-        | Service.Server.Tcp (_, port) -> [ ("port", Json.Int port) ]
-        | Service.Server.Unix_socket _ -> []
-      in
-      print_string (Json.to_string (Json.Obj fields) ^ "\n");
-      Printf.printf "tta_served: listening on %s (%d workers, queue cap %d)%s\n%!"
-        (Service.Server.addr_to_string bound)
-        workers queue_cap
-        (if Resilience.Faults.enabled faults then
-           " [chaos " ^ Resilience.Faults.to_spec faults ^ "]"
-         else ""))
-    addr;
+  let listening = ref false in
+  (match
+     Service.Server.serve ?cache ?sessions:session_pool ~workers ~queue_cap
+       ?obs:(Cli.obs_collector obs) ~faults ~grace
+       ~on_ready:(fun srv ->
+         listening := true;
+         (* Machine-readable readiness first — supervisors (the cluster
+            router, CI scripts) parse this one line to learn the bound
+            address, including a kernel-assigned port for --socket
+            HOST:0. The human-oriented banner follows. *)
+         let bound = Service.Server.bound_addr srv in
+         print_endline (Service.Net.ready_line bound);
+         Printf.printf
+           "tta_served: listening on %s (%d workers, queue cap %d)%s\n%!"
+           (Service.Net.addr_to_string bound)
+           workers queue_cap
+           (if Resilience.Faults.enabled faults then
+              " [chaos " ^ Resilience.Faults.to_spec faults ^ "]"
+            else ""))
+       addr
+   with
+  | () -> ()
+  | exception Unix.Unix_error (e, _, _) when not !listening ->
+      Cli.cannot_listen ~exe:"tta_served" addr e);
   (* serve returned: a signal triggered the drain. *)
   (match session_pool with
   | Some p ->

@@ -25,7 +25,7 @@ let main sweep sample seed nodes depth via_service no_anchors chaos json_path
     match via_service with
     | None -> Synthesis.Direct
     | Some s -> (
-        match Service.Server.addr_of_string s with
+        match Service.Net.addr_of_string s with
         | Ok addr -> Synthesis.Service addr
         | Error e ->
             Printf.eprintf "tta_synth: bad --via-service address %S: %s\n" s e;
@@ -49,7 +49,7 @@ let main sweep sample seed nodes depth via_service no_anchors chaos json_path
     (match via with
     | Synthesis.Direct -> ""
     | Synthesis.Service addr ->
-        Printf.sprintf ", via daemon at %s" (Service.Server.addr_to_string addr));
+        Printf.sprintf ", via daemon at %s" (Service.Net.addr_to_string addr));
   let r =
     Synthesis.run ~seed ?sample ~anchors ~nodes ?depth ~faults ~via space
   in

@@ -171,6 +171,19 @@ let faults_of_chaos = function
           prerr_endline ("--chaos: " ^ msg);
           exit 2)
 
+let socket_addr ~exe s =
+  match Service.Net.addr_of_string s with
+  | Ok a -> a
+  | Error e ->
+      prerr_endline (exe ^ ": " ^ e);
+      exit 2
+
+let cannot_listen ~exe addr err =
+  Printf.eprintf "%s: cannot listen on %s: %s\n%!" exe
+    (Service.Net.addr_to_string addr)
+    (Unix.error_message err);
+  exit 2
+
 (* ------------------------------------------------------------------ *)
 (* Observability *)
 

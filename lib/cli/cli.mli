@@ -74,6 +74,13 @@ val faults_of_chaos : string option -> Resilience.Faults.t
 (** The parsed [--chaos] value as a fault-injection registry;
     {!Resilience.Faults.disabled} when the flag was absent. *)
 
+val socket_addr : exe:string -> string -> Service.Net.addr
+(** A [--socket] address; the diagnostic is prefixed with [exe]. *)
+
+val cannot_listen : exe:string -> Service.Net.addr -> Unix.error -> 'a
+(** Report an address the daemon could not bind, and exit 2 like a
+    malformed one. *)
+
 (** {1 Observability} *)
 
 type obs

@@ -1,7 +1,7 @@
 (* Sharding front end over supervised worker daemons — see the
    interface for the design. *)
 
-module Server = Service.Server
+module Net = Service.Net
 module Protocol = Service.Protocol
 module Faults = Resilience.Faults
 
@@ -60,14 +60,8 @@ let rewrite_response_line ?(hedged = false) line ~id ~worker =
 (* ------------------------------------------------------------------ *)
 (* State *)
 
-type client = {
-  cfd : Unix.file_descr;
-  cbuf : Buffer.t;
-  mutable cclosed : bool;
-}
-
 type pending = {
-  pclient : client;
+  pclient : Net.conn;
   orig_id : string;
   pline : string;  (** the client's original request line *)
   pkey : string;  (** consistent-hash routing key *)
@@ -84,9 +78,10 @@ type pending = {
 
 type wstate =
   | Idle of { until : float }  (** waiting out a restart backoff *)
-  | Starting of { proc : Worker.proc; sbuf : Buffer.t; since : float }
+  | Starting of { proc : Worker.proc; out : Buffer.t; since : float }
   | Live of {
       proc : Worker.proc;
+      out : Buffer.t;  (** partial line of the worker's stdout *)
       wfd : Unix.file_descr;  (** connection to the worker's socket *)
       wbuf : Buffer.t;
       health : Health.t;
@@ -106,13 +101,7 @@ type delayed_msg =
   | Delayed_send of { dworker : string; dline : string }
   | Delayed_recv of { dworker : string; dline : string }
 
-type t = {
-  listen_fd : Unix.file_descr;
-  bound : Server.addr;
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
-  stopping : bool Atomic.t;
-  finished : bool Atomic.t;
+type router = {
   exe : string;
   worker_args : string list;
   workers : worker array;
@@ -127,6 +116,9 @@ type t = {
   health_timeout : float;
   start_timeout : float;
   grace : float;
+  mutable drain_deadline : float option;
+      (** set when a stop is first seen: from then on no respawns, and
+          leftovers are cancelled at this time *)
   faults : Faults.t;  (** link_send/link_recv chaos on the worker legs *)
   hedge_s : float;  (** 0 = hedging off *)
   mutable delayed : (float * delayed_msg) list;  (** due time, unsorted *)
@@ -137,38 +129,7 @@ type t = {
   mutable st_restarts : int;
   mutable st_hedged : int;
   mutable st_breaker_opens : int;
-  join_lock : Mutex.t;
-  mutable loop_domain : unit Domain.t option;
 }
-
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
-let client_write c s =
-  if not c.cclosed then
-    match write_all c.cfd s 0 (String.length s) with
-    | () -> ()
-    | exception Unix.Unix_error _ -> c.cclosed <- true
-
-let client_respond c resp = client_write c (Protocol.response_line resp)
-
-let connect addr =
-  match (addr : Server.addr) with
-  | Server.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Server.Tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (inet, port));
-      fd
 
 let is_live w = match w.state with Live _ -> true | _ -> false
 
@@ -229,6 +190,12 @@ let bump_forwarded t name =
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.st_forwarded name));
   Mutex.unlock t.stats_lock
 
+(* Answer [p]'s client with a structured failure. *)
+let fail p code reason =
+  Net.send p.pclient
+    (Protocol.response_line
+       (Protocol.Error { id = Some p.orig_id; code; reason }))
+
 (* Forward one pending request to a live worker, or park/fail it.
    Mutually recursive with the death path: a failed write to a worker
    declares that worker dead, which re-dispatches its in-flight
@@ -236,13 +203,7 @@ let bump_forwarded t name =
    gate per worker. *)
 let rec dispatch t ~now p =
   if p.attempts >= max_attempts t then
-    client_respond p.pclient
-      (Protocol.Error
-         {
-           id = Some p.orig_id;
-           code = Protocol.code_engine_failed;
-           reason = "no live worker could serve this request";
-         })
+    fail p Protocol.code_engine_failed "no live worker could serve this request"
   else
     match
       Ring.route ~accept:(fun n -> admits (worker_named t n)) t.ring p.pkey
@@ -258,13 +219,8 @@ let rec dispatch t ~now p =
             (fun w -> match w.state with Gone -> true | _ -> false)
             t.workers
         then
-          client_respond p.pclient
-            (Protocol.Error
-               {
-                 id = Some p.orig_id;
-                 code = Protocol.code_engine_failed;
-                 reason = "every worker exceeded its restart budget";
-               })
+          fail p Protocol.code_engine_failed
+            "every worker exceeded its restart budget"
         else t.parked <- p :: t.parked
     | Some name -> forward t ~now (worker_named t name) p
 
@@ -277,13 +233,7 @@ and forward t ~now w p =
       | None ->
           (* Unreachable for a line that decoded as a request object;
              answer rather than wedge the client. *)
-          client_respond p.pclient
-            (Protocol.Error
-               {
-                 id = Some p.orig_id;
-                 code = Protocol.code_bad_request;
-                 reason = "request line is not a JSON object";
-               })
+          fail p Protocol.code_bad_request "request line is not a JSON object"
       | Some line -> (
           let line = line ^ "\n" in
           Hashtbl.replace t.inflight qid p;
@@ -316,25 +266,28 @@ and forward t ~now w p =
                   t.on_event (Killed_by_request { name = w.wname; nth = n })
               | _ -> ())
           | _ -> ());
-          (* The outbound link hook: a firing [drop] loses the line in
-             the network (the leg stays registered; the retransmit net
-             or a hedge recovers it), a [delay] defers the write to
-             [tick], a [crash] kills the connection. *)
-          match Faults.link t.faults Faults.Link_send with
-          | exception Faults.Injected _ -> worker_death t ~now w "link fault"
-          | `Drop -> ()
-          | `Delay d ->
-              t.delayed <-
-                (now +. d, Delayed_send { dworker = w.wname; dline = line })
-                :: t.delayed
-          | `Pass -> (
-              match write_all wfd line 0 (String.length line) with
-              | () -> ()
-              | exception Unix.Unix_error _ ->
-                  worker_death t ~now w "write failed")))
+          link_send t ~now w wfd line ~failed:"write failed"))
   | _ ->
       p.attempts <- p.attempts + 1;
       dispatch t ~now p
+
+(* The outbound link hook: a firing [drop] loses the line in the
+   network (a request's leg stays registered; the retransmit net or a
+   hedge recovers it), a [delay] defers the write to [tick], a [crash]
+   kills the connection. *)
+and link_send t ~now w wfd line ~failed =
+  match Faults.link t.faults Faults.Link_send with
+  | exception Faults.Injected _ -> worker_death t ~now w "link fault"
+  | `Drop -> ()
+  | `Delay d ->
+      t.delayed <-
+        (now +. d, Delayed_send { dworker = w.wname; dline = line })
+        :: t.delayed
+  | `Pass -> write_worker t ~now w wfd line ~failed
+
+and write_worker t ~now w wfd line ~failed =
+  try Net.write_all wfd line
+  with Unix.Unix_error _ -> worker_death t ~now w failed
 
 and flush_parked t ~now =
   let parked = List.rev t.parked in
@@ -403,73 +356,48 @@ let spawn_worker t ~now w =
       ~args:([ "--socket"; "127.0.0.1:0" ] @ t.worker_args)
   with
   | proc ->
-      w.state <- Starting { proc; sbuf = Buffer.create 256; since = now };
+      w.state <- Starting { proc; out = Buffer.create 256; since = now };
       t.on_event (Worker_spawned { name = w.wname; pid = proc.Worker.pid })
   | exception Unix.Unix_error _ -> worker_death t ~now w "spawn failed"
 
-let worker_ready t ~now w proc socket =
-  match Server.addr_of_string socket with
-  | Error e -> worker_death t ~now w ("unparseable readiness address: " ^ e)
-  | Ok addr -> (
-      match connect addr with
-      | exception Unix.Unix_error (e, _, _) ->
-          worker_death t ~now w
-            ("connect to ready worker failed: " ^ Unix.error_message e)
-      | wfd ->
-          let health =
-            Health.create ~interval:t.health_interval
-              ~timeout:t.health_timeout ~now w.wname
-          in
-          w.state <- Live { proc; wfd; wbuf = Buffer.create 1024; health };
-          (* A restarted worker gets a clean slate: whatever tripped
-             the breaker died with the old process. *)
-          (match w.breaker with Some b -> Breaker.reset b | None -> ());
-          t.on_event (Worker_ready { name = w.wname; addr = socket });
-          flush_parked t ~now)
-
-(* Split buffered bytes on newlines, keeping a trailing partial. *)
-let drain_lines buf k =
-  let s = Buffer.contents buf in
-  let n = String.length s in
-  let start = ref 0 in
-  (try
-     while true do
-       let i = String.index_from s !start '\n' in
-       k (String.sub s !start (i - !start));
-       start := i + 1
-     done
-   with Not_found -> ());
-  if !start > 0 then begin
-    Buffer.clear buf;
-    if !start < n then Buffer.add_substring buf s !start (n - !start)
-  end
+let worker_ready t ~now w proc out addr =
+  match Net.connect addr with
+  | exception Unix.Unix_error (e, _, _) ->
+      worker_death t ~now w
+        ("connect to ready worker failed: " ^ Unix.error_message e)
+  | wfd ->
+      let health =
+        Health.create ~interval:t.health_interval ~timeout:t.health_timeout
+          ~now w.wname
+      in
+      w.state <- Live { proc; out; wfd; wbuf = Buffer.create 1024; health };
+      (* A restarted worker gets a clean slate: whatever tripped the
+         breaker died with the old process. *)
+      (match w.breaker with Some b -> Breaker.reset b | None -> ());
+      t.on_event
+        (Worker_ready { name = w.wname; addr = Net.addr_to_string addr });
+      flush_parked t ~now
 
 (* The worker's stdout pipe. While [Starting] it carries the readiness
    line; once [Live] it is banner/diagnostic output, read and
    discarded so the pipe can never fill and block the daemon. EOF
    means the process exited. *)
-let handle_worker_stdout t ~now scratch w =
+let handle_worker_stdout t w =
+  let now = Unix.gettimeofday () in
   match w.state with
-  | Starting { proc; sbuf; _ } -> (
-      match Unix.read proc.Worker.stdout scratch 0 (Bytes.length scratch) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ ->
-          worker_death t ~now w "stdout read failed"
-      | 0 -> worker_death t ~now w "exited before becoming ready"
-      | n ->
-          Buffer.add_subbytes sbuf scratch 0 n;
-          let ready = ref None in
-          drain_lines sbuf (fun line ->
-              if !ready = None then ready := Worker.parse_ready line);
-          (match !ready with
-          | Some (socket, _port) -> worker_ready t ~now w proc socket
-          | None -> ()))
-  | Live { proc; _ } -> (
-      match Unix.read proc.Worker.stdout scratch 0 (Bytes.length scratch) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> worker_death t ~now w "process exited"
-      | 0 -> worker_death t ~now w "process exited"
-      | _ -> ())
+  | Starting { proc; out; _ } -> (
+      let ready = ref None in
+      match
+        Net.read_lines proc.Worker.stdout out (fun line ->
+            if !ready = None then ready := Net.parse_ready line)
+      with
+      | `Error _ -> worker_death t ~now w "stdout read failed"
+      | `Eof -> worker_death t ~now w "exited before becoming ready"
+      | `Data -> Option.iter (worker_ready t ~now w proc out) !ready)
+  | Live { proc; out; _ } -> (
+      match Net.read_lines proc.Worker.stdout out ignore with
+      | `Data -> ()
+      | `Eof | `Error _ -> worker_death t ~now w "process exited")
   | Idle _ | Gone -> ()
 
 (* Deliver [line] (from [worker]) as the answer to [p]: cancel every
@@ -480,7 +408,7 @@ let deliver t p line ~worker =
   p.legs <- [];
   p.provisional <- None;
   match rewrite_response_line ~hedged:p.hedge_sent line ~id:p.orig_id ~worker with
-  | Some out -> client_write p.pclient (out ^ "\n")
+  | Some out -> Net.send p.pclient (out ^ "\n")
   | None -> ()
 
 (* Does this response line blame the *worker* (breaker evidence, and
@@ -521,34 +449,31 @@ let process_worker_line t ~now w line =
                with content. *)
             p.provisional <- Some (line, w.wname))
 
-let handle_worker_conn t ~now scratch w =
+let handle_worker_conn t w =
+  let now = Unix.gettimeofday () in
   match w.state with
   | Live { wfd; wbuf; _ } -> (
-      match Unix.read wfd scratch 0 (Bytes.length scratch) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ ->
-          worker_death t ~now w "connection reset"
-      | 0 -> worker_death t ~now w "connection closed"
-      | n ->
-          Buffer.add_subbytes wbuf scratch 0 n;
-          (* The inbound link hook, applied per line: [drop] discards
-             the line (pongs included — that is what a partition looks
-             like from this side), [delay] defers its processing to
-             [tick], [crash] kills the connection (flagged and applied
-             after the drain, so the buffer stays coherent). *)
-          let link_crash = ref false in
-          drain_lines wbuf (fun line ->
-              if not !link_crash then
-                match Faults.link t.faults Faults.Link_recv with
-                | `Pass -> process_worker_line t ~now w line
-                | `Drop -> ()
-                | `Delay d ->
-                    t.delayed <-
-                      ( now +. d,
-                        Delayed_recv { dworker = w.wname; dline = line } )
-                      :: t.delayed
-                | exception Faults.Injected _ -> link_crash := true);
-          if !link_crash then worker_death t ~now w "link fault")
+      (* The inbound link hook, applied per line: [drop] discards the
+         line (pongs included — that is what a partition looks like
+         from this side), [delay] defers its processing to [tick],
+         [crash] kills the connection (flagged and applied after the
+         chunk, so the buffer stays coherent). *)
+      let link_crash = ref false in
+      match
+        Net.read_lines wfd wbuf (fun line ->
+            if not !link_crash then
+              match Faults.link t.faults Faults.Link_recv with
+              | `Pass -> process_worker_line t ~now w line
+              | `Drop -> ()
+              | `Delay d ->
+                  t.delayed <-
+                    (now +. d, Delayed_recv { dworker = w.wname; dline = line })
+                    :: t.delayed
+              | exception Faults.Injected _ -> link_crash := true)
+      with
+      | `Error _ -> worker_death t ~now w "connection reset"
+      | `Eof -> worker_death t ~now w "connection closed"
+      | `Data -> if !link_crash then worker_death t ~now w "link fault")
   | _ -> ()
 
 (* Flush delayed-link messages whose due time has passed. A send whose
@@ -566,11 +491,8 @@ let deliver_delayed t ~now =
           | Delayed_send { dworker; dline } -> (
               let w = worker_named t dworker in
               match w.state with
-              | Live { wfd; _ } -> (
-                  match write_all wfd dline 0 (String.length dline) with
-                  | () -> ()
-                  | exception Unix.Unix_error _ ->
-                      worker_death t ~now w "write failed")
+              | Live { wfd; _ } ->
+                  write_worker t ~now w wfd dline ~failed:"write failed"
               | _ -> ())
           | Delayed_recv { dworker; dline } ->
               process_worker_line t ~now (worker_named t dworker) dline)
@@ -633,7 +555,7 @@ let tick t ~now =
   Array.iter
     (fun w ->
       match w.state with
-      | Idle { until } when until <= now && not (Atomic.get t.stopping) ->
+      | Idle { until } when until <= now && t.drain_deadline = None ->
           spawn_worker t ~now w
       | Starting { since; _ } when now -. since > t.start_timeout ->
           worker_death t ~now w "start timeout"
@@ -643,25 +565,13 @@ let tick t ~now =
           else
             match Health.next_ping ~now health with
             | None -> ()
-            | Some id -> (
-                let line = Json.to_string (Protocol.ping ~id) ^ "\n" in
+            | Some id ->
                 (* Pings ride the same link as requests: a dropped ping
                    never pongs, so a partitioned-off worker fails its
                    health check exactly like a dead one. *)
-                match Faults.link t.faults Faults.Link_send with
-                | exception Faults.Injected _ ->
-                    worker_death t ~now w "link fault"
-                | `Drop -> ()
-                | `Delay d ->
-                    t.delayed <-
-                      ( now +. d,
-                        Delayed_send { dworker = w.wname; dline = line } )
-                      :: t.delayed
-                | `Pass -> (
-                    match write_all wfd line 0 (String.length line) with
-                    | () -> ()
-                    | exception Unix.Unix_error _ ->
-                        worker_death t ~now w "ping write failed")))
+                link_send t ~now w wfd
+                  (Json.to_string (Protocol.ping ~id) ^ "\n")
+                  ~failed:"ping write failed")
       | _ -> ())
     t.workers;
   deliver_delayed t ~now;
@@ -671,147 +581,92 @@ let tick t ~now =
 (* ------------------------------------------------------------------ *)
 (* Client side *)
 
-let handle_request t ~now client line =
-  let line = String.trim line in
-  if line <> "" then
-    match Protocol.decode_incoming_line line with
-    | Error reason ->
-        client_respond client
-          (Protocol.Error
-             {
-               id = Protocol.request_id_of_line line;
-               code = Protocol.code_bad_request;
-               reason;
-             })
-    | Ok (Protocol.Ping { id }) ->
-        (* Answered by the router itself: a pong means the routing tier
-           is up, which is what a client probing the cluster asks. *)
-        client_respond client (Protocol.Pong { id })
-    | Ok (Protocol.Verify req) ->
-        let p =
-          {
-            pclient = client;
-            orig_id = req.Protocol.id;
-            pline = line;
-            pkey = routing_key t req.Protocol.cfg;
-            attempts = 0;
-            legs = [];
-            sent_at = now;
-            hedge_sent = false;
-            provisional = None;
-          }
-        in
-        dispatch t ~now p
-
-let handle_client_read t ~now scratch c =
-  match Unix.read c.cfd scratch 0 (Bytes.length scratch) with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error _ -> c.cclosed <- true
-  | 0 -> c.cclosed <- true
-  | n ->
-      Buffer.add_subbytes c.cbuf scratch 0 n;
-      drain_lines c.cbuf (handle_request t ~now c)
+let handle_request t client line =
+  match Protocol.decode_incoming_line line with
+  | Error reason ->
+      Net.send client
+        (Protocol.response_line
+           (Protocol.Error
+              {
+                id = Protocol.request_id_of_line line;
+                code = Protocol.code_bad_request;
+                reason;
+              }))
+  | Ok (Protocol.Ping { id }) ->
+      (* Answered by the router itself: a pong means the routing tier is
+         up, which is what a client probing the cluster asks. *)
+      Net.send client (Protocol.response_line (Protocol.Pong { id }))
+  | Ok (Protocol.Verify req) ->
+      let now = Unix.gettimeofday () in
+      dispatch t ~now
+        {
+          pclient = client;
+          orig_id = req.Protocol.id;
+          pline = line;
+          pkey = routing_key t req.Protocol.cfg;
+          attempts = 0;
+          legs = [];
+          sent_at = now;
+          hedge_sent = false;
+          provisional = None;
+        }
 
 (* ------------------------------------------------------------------ *)
-(* The loop *)
+(* Loop hooks *)
+
+(* The worker descriptors the loop watches besides client sockets. *)
+let watched t () =
+  Array.to_list t.workers
+  |> List.concat_map (fun w ->
+         let stdout proc =
+           (proc.Worker.stdout, fun () -> handle_worker_stdout t w)
+         in
+         match w.state with
+         | Starting { proc; _ } -> [ stdout proc ]
+         | Live { proc; wfd; _ } ->
+             [ stdout proc; (wfd, fun () -> handle_worker_conn t w) ]
+         | Idle _ | Gone -> [])
 
 let cancel_all t reason =
   (* A hedged request holds one inflight entry per leg; cancel each
      request once. *)
   let cancelled = ref [] in
+  let cancel p =
+    Net.send p.pclient
+      (Protocol.response_line (Protocol.Cancelled { id = p.orig_id; reason }))
+  in
   Hashtbl.iter
     (fun _ p ->
       if not (List.memq p !cancelled) then begin
         cancelled := p :: !cancelled;
-        client_respond p.pclient
-          (Protocol.Cancelled { id = p.orig_id; reason })
+        cancel p
       end)
     t.inflight;
   Hashtbl.reset t.inflight;
-  List.iter
-    (fun p ->
-      client_respond p.pclient
-        (Protocol.Cancelled { id = p.orig_id; reason }))
-    t.parked;
+  List.iter cancel t.parked;
   t.parked <- []
 
-let loop t =
-  let clients = ref [] in
-  let scratch = Bytes.create 65536 in
-  let running = ref true in
-  let listener_open = ref true in
-  let stop_deadline = ref infinity in
-  while !running do
-    let now = Unix.gettimeofday () in
-    tick t ~now;
-    let dead, live = List.partition (fun c -> c.cclosed) !clients in
-    List.iter
-      (fun c -> try Unix.close c.cfd with Unix.Unix_error _ -> ())
-      dead;
-    clients := live;
-    (* Drain exit: stopped, and nothing left to answer (or the grace
-       period ran out, in which case the leftovers get cancelled). *)
-    if Atomic.get t.stopping then begin
-      if !listener_open then begin
-        listener_open := false;
-        stop_deadline := now +. t.grace;
-        try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
-      end;
-      if Hashtbl.length t.inflight = 0 && t.parked = [] then running := false
-      else if now > !stop_deadline then begin
-        cancel_all t "shutting down";
-        running := false
-      end
-    end;
-    if !running then begin
-      let worker_fds =
-        Array.to_list t.workers
-        |> List.concat_map (fun w ->
-               match w.state with
-               | Starting { proc; _ } -> [ (proc.Worker.stdout, `Stdout w) ]
-               | Live { proc; wfd; _ } ->
-                   [ (proc.Worker.stdout, `Stdout w); (wfd, `Conn w) ]
-               | Idle _ | Gone -> [])
-      in
-      let client_fds = List.map (fun c -> (c.cfd, `Client c)) !clients in
-      let read_fds =
-        t.pipe_r
-        :: (if !listener_open then [ t.listen_fd ] else [])
-        @ List.map fst worker_fds @ List.map fst client_fds
-      in
-      match Unix.select read_fds [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, _, _ ->
-          let now = Unix.gettimeofday () in
-          if List.mem t.pipe_r ready then begin
-            let b = Bytes.create 8 in
-            ignore (try Unix.read t.pipe_r b 0 8 with Unix.Unix_error _ -> 0)
-          end;
-          if !listener_open && List.mem t.listen_fd ready then begin
-            match Unix.accept t.listen_fd with
-            | exception Unix.Unix_error _ -> ()
-            | fd, _ ->
-                clients :=
-                  { cfd = fd; cbuf = Buffer.create 256; cclosed = false }
-                  :: !clients
-          end;
-          List.iter
-            (fun (fd, tag) ->
-              if List.mem fd ready then
-                match tag with
-                | `Stdout w -> handle_worker_stdout t ~now scratch w
-                | `Conn w -> handle_worker_conn t ~now scratch w)
-            worker_fds;
-          List.iter
-            (fun (fd, tag) ->
-              if List.mem fd ready then
-                match tag with
-                | `Client c ->
-                    if not c.cclosed then handle_client_read t ~now scratch c)
-            client_fds
-    end
-  done;
-  (* Shut the fleet down and release everything. *)
+(* Stop policy: keep serving until nothing is left to answer, or until
+   the grace period runs out, in which case the leftovers get
+   cancelled. *)
+let keep_draining t () =
+  let now = Unix.gettimeofday () in
+  let deadline =
+    match t.drain_deadline with
+    | Some d -> d
+    | None ->
+        t.drain_deadline <- Some (now +. t.grace);
+        now +. t.grace
+  in
+  if Hashtbl.length t.inflight = 0 && t.parked = [] then false
+  else if now > deadline then begin
+    cancel_all t "shutting down";
+    false
+  end
+  else true
+
+(* Shut the fleet down once the loop has exited. *)
+let terminate_fleet t () =
   Array.iter
     (fun w ->
       match w.state with
@@ -820,38 +675,12 @@ let loop t =
           (try Unix.close wfd with Unix.Unix_error _ -> ());
           Worker.terminate proc
       | Idle _ | Gone -> ())
-    t.workers;
-  List.iter
-    (fun c -> try Unix.close c.cfd with Unix.Unix_error _ -> ())
-    !clients;
-  if !listener_open then
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  try Unix.close t.pipe_w with Unix.Unix_error _ -> ()
+    t.workers
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let bind_listen addr =
-  match (addr : Server.addr) with
-  | Server.Unix_socket path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-  | Server.Tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> raise (Unix.Unix_error (Unix.EINVAL, "bind", host)))
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (inet, port));
-      Unix.listen fd 64;
-      fd
+type t = { net : Net.t; router : router }
 
 let start ?(vnodes = 512) ?(supervisor = Resilience.Supervisor.default)
     ?(max_restarts = 5) ?(restart_window_s = 30.0) ?(health_interval = 0.5)
@@ -862,17 +691,7 @@ let start ?(vnodes = 512) ?(supervisor = Resilience.Supervisor.default)
   if workers < 1 then invalid_arg "Router.start: workers < 1";
   if hedge_ms < 0 then invalid_arg "Router.start: hedge_ms < 0";
   if breaker_window < 0 then invalid_arg "Router.start: breaker_window < 0";
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd = bind_listen addr in
-  let bound =
-    match (addr : Server.addr) with
-    | Server.Tcp (host, 0) -> (
-        match Unix.getsockname listen_fd with
-        | Unix.ADDR_INET (_, port) -> Server.Tcp (host, port)
-        | _ -> addr)
-    | _ -> addr
-  in
-  let pipe_r, pipe_w = Unix.pipe () in
+  let listener = Net.listen addr in
   let names = List.init workers (Printf.sprintf "w%d") in
   let mk name =
     {
@@ -886,14 +705,8 @@ let start ?(vnodes = 512) ?(supervisor = Resilience.Supervisor.default)
          else Some (Breaker.create ~window:breaker_window ()));
     }
   in
-  let t =
+  let router =
     {
-      listen_fd;
-      bound;
-      pipe_r;
-      pipe_w;
-      stopping = Atomic.make false;
-      finished = Atomic.make false;
       exe;
       worker_args;
       workers = Array.of_list (List.map mk names);
@@ -908,6 +721,7 @@ let start ?(vnodes = 512) ?(supervisor = Resilience.Supervisor.default)
       health_timeout;
       start_timeout;
       grace;
+      drain_deadline = None;
       faults;
       hedge_s = float_of_int hedge_ms /. 1000.;
       delayed = [];
@@ -918,40 +732,23 @@ let start ?(vnodes = 512) ?(supervisor = Resilience.Supervisor.default)
       st_restarts = 0;
       st_hedged = 0;
       st_breaker_opens = 0;
-      join_lock = Mutex.create ();
-      loop_domain = None;
     }
   in
-  t.loop_domain <-
-    Some
-      (Domain.spawn (fun () ->
-           Fun.protect
-             ~finally:(fun () -> Atomic.set t.finished true)
-             (fun () -> loop t)));
-  t
+  (* Client connections get no socket faults: the router's chaos
+     points are the [link_*] ones, on the worker legs. *)
+  let net =
+    Net.start ~faults:Faults.disabled ~timeout:0.05
+      ~tick:(fun () -> tick router ~now:(Unix.gettimeofday ()))
+      ~watch:(watched router) ~on_line:(handle_request router)
+      ~drain:(keep_draining router) ~finish:(terminate_fleet router) listener
+  in
+  { net; router }
 
-let stop t =
-  if not (Atomic.exchange t.stopping true) then
-    try ignore (Unix.write_substring t.pipe_w "x" 0 1)
-    with Unix.Unix_error _ -> ()
+let stop t = Net.stop t.net
+let wait t = Net.wait t.net
+let bound_addr t = Net.bound t.net
 
-let wait t =
-  (* Same poll-then-join dance as Server.wait: keep the main domain at
-     safepoints so signal handlers still run while we wait. *)
-  while not (Atomic.get t.finished) do
-    Unix.sleepf 0.05
-  done;
-  Mutex.lock t.join_lock;
-  (match t.loop_domain with
-  | None -> ()
-  | Some d ->
-      t.loop_domain <- None;
-      Domain.join d);
-  Mutex.unlock t.join_lock
-
-let bound_addr t = t.bound
-
-let stats t =
+let stats { router = t; _ } =
   Mutex.lock t.stats_lock;
   let forwarded =
     List.sort compare

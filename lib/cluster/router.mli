@@ -101,7 +101,7 @@ val start :
   exe:string ->
   worker_args:string list ->
   workers:int ->
-  Service.Server.addr ->
+  Service.Net.addr ->
   t
 (** Bind the client-facing [addr] (TCP port [0] allowed — see
     {!bound_addr}), then run the routing loop on its own domain,
@@ -130,7 +130,7 @@ val stop : t -> unit
 val wait : t -> unit
 (** Block until the loop has exited and the workers are gone. *)
 
-val bound_addr : t -> Service.Server.addr
+val bound_addr : t -> Service.Net.addr
 (** The client-facing address actually bound (ephemeral TCP port
     resolved). *)
 

@@ -21,24 +21,6 @@ let spawn ~exe ~args =
   Unix.close devnull;
   { pid; stdout = out_r }
 
-let parse_ready line =
-  match Json.of_string (String.trim line) with
-  | Error _ -> None
-  | Ok j ->
-      if Option.bind (Json.member "ready" j) Json.bool_value <> Some true then
-        None
-      else
-        Option.map
-          (fun socket ->
-            (socket, Option.bind (Json.member "port" j) Json.int_value))
-          (Option.bind (Json.member "socket" j) Json.string_value)
-
-let alive p =
-  match Unix.waitpid [ Unix.WNOHANG ] p.pid with
-  | 0, _ -> true
-  | _ -> false
-  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false
-
 let kill_if_alive p signal =
   try Unix.kill p.pid signal with Unix.Unix_error (Unix.ESRCH, _, _) -> ()
 
@@ -63,8 +45,3 @@ let terminate ?(grace_s = 2.0) p =
   in
   wait ();
   try Unix.close p.stdout with Unix.Unix_error _ -> ()
-
-let reap p =
-  match Unix.waitpid [ Unix.WNOHANG ] p.pid with
-  | exception Unix.Unix_error _ -> ()
-  | _ -> ()

@@ -4,7 +4,8 @@
     [/dev/null], stdout on a pipe back to the router (to read the
     daemon's machine-readable readiness line and drain its banner
     output), and stderr inherited so worker diagnostics land in the
-    router's own stderr stream. *)
+    router's own stderr stream. The readiness line is parsed by
+    {!Service.Net.parse_ready}. *)
 
 type proc = { pid : int; stdout : Unix.file_descr }
 
@@ -13,21 +14,7 @@ val spawn : exe:string -> args:string list -> proc
     process is gone) and must eventually reap the pid.
     @raise Unix.Unix_error when the exec setup fails. *)
 
-val parse_ready : string -> (string * int option) option
-(** Recognize the daemon's readiness line
-    [{"ready":true,"socket":"127.0.0.1:4321","port":4321}]:
-    [Some (socket_addr, port)] when the line is one, [None] for any
-    other output (banner lines, partial reads). [port] is [None] for a
-    Unix-domain socket. *)
-
-val alive : proc -> bool
-(** Non-blocking: has the child neither exited nor been reaped? *)
-
 val terminate : ?grace_s:float -> proc -> unit
 (** SIGTERM (triggering the daemon's graceful drain), wait up to
     [grace_s] (default 2 s), then SIGKILL; reaps the child and closes
     its stdout pipe. Idempotent on an already-dead child. *)
-
-val reap : proc -> unit
-(** Non-blocking [waitpid] to collect an exited child (avoid zombies
-    after a crash noticed via EOF on another channel). *)

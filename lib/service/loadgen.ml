@@ -32,63 +32,18 @@ type report = {
   imbalance : float;
 }
 
-let connect addr =
-  match (addr : Server.addr) with
-  | Server.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Server.Tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (inet, port));
-      fd
-
-let rec write_all fd s off len =
-  if len > 0 then begin
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-  end
-
 (* The daemon may be mid-restart, the backlog briefly full, or a chaos
    fault may have aborted our previous connection — retry the connect a
    few times with capped exponential backoff before giving up. *)
 let connect_backoff ?(attempts = 6) addr =
   let rec go k =
-    match connect addr with
+    match Net.connect addr with
     | fd -> fd
     | exception Unix.Unix_error _ when k < attempts - 1 ->
         Unix.sleepf (Float.min 0.5 (0.05 *. (2. ** float_of_int k)));
         go (k + 1)
   in
   go 0
-
-(* A blocking line reader over a raw fd (one per connection, single
-   consumer). Returns [None] on EOF with an empty buffer. *)
-type line_reader = { fd : Unix.file_descr; rbuf : Buffer.t; scratch : Bytes.t }
-
-let line_reader fd = { fd; rbuf = Buffer.create 512; scratch = Bytes.create 8192 }
-
-let rec read_line_opt r =
-  let s = Buffer.contents r.rbuf in
-  match String.index_opt s '\n' with
-  | Some i ->
-      Buffer.clear r.rbuf;
-      Buffer.add_substring r.rbuf s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
-  | None -> (
-      match Unix.read r.fd r.scratch 0 (Bytes.length r.scratch) with
-      | 0 -> if s = "" then None else (Buffer.clear r.rbuf; Some s)
-      | n ->
-          Buffer.add_subbytes r.rbuf r.scratch 0 n;
-          read_line_opt r
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line_opt r
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          None)
 
 (* ------------------------------------------------------------------ *)
 (* The request stream *)
@@ -295,12 +250,12 @@ let attempt_once ~get_conn ~drop_conn ~id line =
   match get_conn () with
   | exception Unix.Unix_error _ -> `Conn_lost
   | fd, reader -> (
-      match write_all fd line 0 (String.length line) with
+      match Net.write_all fd line with
       | exception Unix.Unix_error _ ->
           drop_conn ();
           `Conn_lost
       | () -> (
-          match read_line_opt reader with
+          match Net.read_line reader with
           | None ->
               drop_conn ();
               `Conn_lost
@@ -324,7 +279,7 @@ let run_closed ~concurrency ~retry_budget ~reqs addr acc =
       | Some c -> c
       | None ->
           let fd = connect_backoff addr in
-          let c = (fd, line_reader fd) in
+          let c = (fd, Net.reader fd) in
           conn := Some c;
           c
     in
@@ -394,7 +349,7 @@ let run_open ~rate ~retry_budget ~reqs addr acc =
                     Mutex.lock sent_lock;
                     Hashtbl.replace sent id (Unix.gettimeofday ());
                     Mutex.unlock sent_lock;
-                    match write_all fd line 0 (String.length line) with
+                    match Net.write_all fd line with
                     | () -> send (i + 1) rest
                     | exception Unix.Unix_error _ ->
                         (* Connection dead: the reader will hit EOF; the
@@ -403,13 +358,13 @@ let run_open ~rate ~retry_budget ~reqs addr acc =
               in
               send 0 pending)
         in
-        let reader = line_reader fd in
+        let reader = Net.reader fd in
         let expected = List.length pending in
         let answered = Hashtbl.create expected in
         let failed = Hashtbl.create 4 in
         let rec read_responses got =
           if got < expected then
-            match read_line_opt reader with
+            match Net.read_line reader with
             | None -> ()
             | Some line ->
                 (match Protocol.decode_response_line line with

@@ -98,7 +98,7 @@ val run :
   ?retry_budget:int ->
   mode:mode ->
   requests:int ->
-  Server.addr ->
+  Net.addr ->
   report
 (** Defaults: [seed 1], [nodes 2], [depth 24], no deadline, all four
     feature sets, engine ["bdd"], [retry_budget 2] (per request; [0]

@@ -1,104 +1,7 @@
-(* select-loop network front end — see the interface for the design. *)
+(* The verification daemon's front end: protocol lines from {!Net}'s
+   loop to the {!Scheduler} and back — see the interface. *)
 
-type addr = Unix_socket of string | Tcp of string * int
-
-let addr_of_string s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      (* Port 0 is the kernel's "pick one": the bound port is
-         recoverable via [bound_addr] and announced by the daemon's
-         readiness line. *)
-      | Some p when p >= 0 && p < 65536 ->
-          Ok (Tcp ((if host = "" then "127.0.0.1" else host), p))
-      | _ -> Error (Printf.sprintf "invalid port in %S" s))
-  | None -> Ok (Unix_socket s)
-
-let addr_to_string = function
-  | Unix_socket p -> p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
-(* One client connection. The loop domain is the only reader and the
-   only closer of [fd]; worker callbacks write under [wlock]. [closed]
-   means "no further writes" (client hung up or a write failed); the
-   fd itself is only closed once [pending] callbacks have all fired,
-   so a recycled descriptor can never receive another request's
-   response. *)
-type conn = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  wlock : Mutex.t;
-  mutable closed : bool;
-  mutable fd_open : bool;
-  mutable pending : int;
-}
-
-type t = {
-  sched : Scheduler.t;
-  bound : addr;  (** the address actually bound (ephemeral port resolved) *)
-  listen_fd : Unix.file_descr;
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
-  stopping : bool Atomic.t;
-  finished : bool Atomic.t;  (** loop domain exited (drain included) *)
-  grace : float;
-  faults : Resilience.Faults.t;
-  join_lock : Mutex.t;
-  mutable loop : unit Domain.t option;
-}
-
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        (* A signal mid-write is not a failed write; resume where the
-           syscall left off. *)
-        write_all fd s off len
-
-(* Half-close the socket without releasing the descriptor (the loop
-   domain's sweep still owns the [Unix.close]): the peer sees EOF
-   immediately — even while the select loop is parked — instead of
-   waiting forever for a response that will never come. *)
-let conn_abort conn =
-  conn.closed <- true;
-  if conn.fd_open then
-    try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
-    with Unix.Unix_error _ -> ()
-
-let conn_write ~faults conn resp =
-  Mutex.lock conn.wlock;
-  (if not conn.closed then
-     match
-       Resilience.Faults.hit faults Resilience.Faults.Sock_send;
-       Resilience.Faults.corrupt faults Resilience.Faults.Sock_send
-         (Protocol.response_line resp)
-     with
-     | exception Resilience.Faults.Injected _ ->
-         (* Injected send failure: the response is lost exactly as if
-            the kernel had dropped the connection mid-write. Abort so
-            the client learns immediately and can retry. *)
-         conn_abort conn
-     | s -> (
-         match write_all conn.fd s 0 (String.length s) with
-         | () -> ()
-         | exception Unix.Unix_error _ ->
-             (* EPIPE/ECONNRESET (SIGPIPE is ignored process-wide): the
-                client hung up mid-write. Abort the connection; the
-                select loop and its other clients are unaffected. *)
-             conn_abort conn));
-  Mutex.unlock conn.wlock
-
-let conn_close conn =
-  Mutex.lock conn.wlock;
-  conn.closed <- true;
-  if conn.fd_open then begin
-    conn.fd_open <- false;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end;
-  Mutex.unlock conn.wlock
+type t = Net.t
 
 (* ------------------------------------------------------------------ *)
 (* Request handling *)
@@ -178,242 +81,65 @@ let answer_of ~id (o : Scheduler.outcome) =
         warm_depth = o.Scheduler.warm_depth;
       }
 
-let handle_line t conn line =
-  let line = String.trim line in
-  if line <> "" then
-    match Protocol.decode_incoming_line line with
-    | Error reason ->
-        conn_write ~faults:t.faults conn
-          (Protocol.Error
-             {
-               id = Protocol.request_id_of_line line;
-               code = Protocol.code_bad_request;
-               reason;
-             })
-    | Ok (Protocol.Ping { id }) ->
-        (* Liveness probe: answered inline from the select loop, so a
-           pong round-trip measures the daemon's event loop, not its
-           verification backlog. *)
-        conn_write ~faults:t.faults conn (Protocol.Pong { id })
-    | Ok (Protocol.Verify req) ->
-        let deadline =
-          Option.map
-            (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
-            req.Protocol.deadline_ms
-        in
-        let id = req.Protocol.id in
-        Mutex.lock conn.wlock;
-        conn.pending <- conn.pending + 1;
-        Mutex.unlock conn.wlock;
-        let callback o =
-          conn_write ~faults:t.faults conn (answer_of ~id o);
-          Mutex.lock conn.wlock;
-          conn.pending <- conn.pending - 1;
-          Mutex.unlock conn.wlock
-        in
-        let admission =
-          Scheduler.submit t.sched ?deadline ?family:req.Protocol.family
-            ~engines:req.Protocol.engines ~max_depth:req.Protocol.max_depth
-            ~callback req.Protocol.cfg
-        in
-        (match admission with
-        | `Queued | `Coalesced | `Cache_hit -> ()
-        | `Shed | `Draining ->
-            Mutex.lock conn.wlock;
-            conn.pending <- conn.pending - 1;
-            Mutex.unlock conn.wlock;
-            conn_write ~faults:t.faults conn
-              (match admission with
-              | `Shed -> Protocol.Overloaded { id }
-              | _ -> Protocol.Cancelled { id; reason = "shutting down" }))
-
-(* Split the connection buffer on newlines, handing every complete
-   line to [k] and keeping the trailing partial line buffered. *)
-let drain_lines conn k =
-  let s = Buffer.contents conn.buf in
-  let n = String.length s in
-  let start = ref 0 in
-  (try
-     while true do
-       let i = String.index_from s !start '\n' in
-       k (String.sub s !start (i - !start));
-       start := i + 1
-     done
-   with Not_found -> ());
-  if !start > 0 then begin
-    Buffer.clear conn.buf;
-    if !start < n then Buffer.add_substring conn.buf s !start (n - !start)
-  end
-
-let handle_read t scratch conn =
-  match
-    Resilience.Faults.hit t.faults Resilience.Faults.Sock_recv;
-    Unix.read conn.fd scratch 0 (Bytes.length scratch)
-  with
-  | exception Resilience.Faults.Injected _ ->
-      (* Injected receive failure: drop the connection as a flaky NIC
-         would. The client reconnects and retries. *)
-      Mutex.lock conn.wlock;
-      conn_abort conn;
-      Mutex.unlock conn.wlock
-  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      (* Interrupted before any bytes arrived; select will offer the
-         descriptor again. Nothing was lost. *)
-      ()
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      conn.closed <- true
-  | 0 -> conn.closed <- true
-  | n ->
-      Buffer.add_subbytes conn.buf scratch 0 n;
-      drain_lines conn (handle_line t conn)
-
-(* ------------------------------------------------------------------ *)
-(* The select loop *)
-
-let loop t =
-  let conns = ref [] in
-  let scratch = Bytes.create 65536 in
-  let running = ref true in
-  while !running do
-    (* Sweep connections that hung up and owe no more responses. *)
-    let dead, live =
-      List.partition (fun c -> c.closed && c.pending = 0) !conns
-    in
-    List.iter conn_close dead;
-    conns := live;
-    let read_fds =
-      t.pipe_r :: t.listen_fd
-      :: List.filter_map
-           (fun c -> if c.closed then None else Some c.fd)
-           live
-    in
-    match Unix.select read_fds [] [] (-1.) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | ready, _, _ ->
-        if List.mem t.pipe_r ready then running := false
-        else begin
-          if List.mem t.listen_fd ready then begin
-            match Unix.accept t.listen_fd with
-            | exception Unix.Unix_error _ -> ()
-            | fd, _ ->
-                conns :=
-                  {
-                    fd;
-                    buf = Buffer.create 256;
-                    wlock = Mutex.create ();
-                    closed = false;
-                    fd_open = true;
-                    pending = 0;
-                  }
-                  :: !conns
-          end;
-          List.iter
-            (fun c ->
-              if (not c.closed) && List.mem c.fd ready then
-                handle_read t scratch c)
-            !conns
-        end
-  done;
-  (* Graceful drain: no new connections or requests; every accepted
-     computation is answered (the workers keep writing responses while
-     we block here), then the connections close. *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Scheduler.drain ~grace:t.grace t.sched;
-  List.iter conn_close !conns;
-  (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  try Unix.close t.pipe_w with Unix.Unix_error _ -> ()
+let handle_line sched conn line =
+  match Protocol.decode_incoming_line line with
+  | Error reason ->
+      Net.send conn
+        (Protocol.response_line
+           (Protocol.Error
+              {
+                id = Protocol.request_id_of_line line;
+                code = Protocol.code_bad_request;
+                reason;
+              }))
+  | Ok (Protocol.Ping { id }) ->
+      (* Liveness probe: answered inline from the select loop, so a
+         pong round-trip measures the daemon's event loop, not its
+         verification backlog. *)
+      Net.send conn (Protocol.response_line (Protocol.Pong { id }))
+  | Ok (Protocol.Verify req) -> (
+      let deadline =
+        Option.map
+          (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+          req.Protocol.deadline_ms
+      in
+      let id = req.Protocol.id in
+      let reply = Net.defer conn in
+      let callback o = reply (Protocol.response_line (answer_of ~id o)) in
+      match
+        Scheduler.submit sched ?deadline ?family:req.Protocol.family
+          ~engines:req.Protocol.engines ~max_depth:req.Protocol.max_depth
+          ~callback req.Protocol.cfg
+      with
+      | `Queued | `Coalesced | `Cache_hit -> ()
+      | `Shed -> reply (Protocol.response_line (Protocol.Overloaded { id }))
+      | `Draining ->
+          reply
+            (Protocol.response_line
+               (Protocol.Cancelled { id; reason = "shutting down" })))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let bind_listen addr =
-  match addr with
-  | Unix_socket path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-  | Tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> raise (Unix.Unix_error (Unix.EINVAL, "bind", host)))
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (inet, port));
-      Unix.listen fd 64;
-      fd
-
 let start ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor
     ?(faults = Resilience.Faults.disabled) ?(grace = 5.0) addr =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd = bind_listen addr in
-  (* Resolve a kernel-assigned ephemeral port into the address the
-     daemon can announce. *)
-  let bound =
-    match addr with
-    | Tcp (host, 0) -> (
-        match Unix.getsockname listen_fd with
-        | Unix.ADDR_INET (_, port) -> Tcp (host, port)
-        | _ -> addr)
-    | _ -> addr
-  in
-  let pipe_r, pipe_w = Unix.pipe () in
+  let listener = Net.listen addr in
   let sched =
     Scheduler.create ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor
       ~faults ()
   in
-  let t =
-    {
-      sched;
-      bound;
-      listen_fd;
-      pipe_r;
-      pipe_w;
-      stopping = Atomic.make false;
-      finished = Atomic.make false;
-      grace;
-      faults;
-      join_lock = Mutex.create ();
-      loop = None;
-    }
-  in
-  t.loop <-
-    Some
-      (Domain.spawn (fun () ->
-           Fun.protect
-             ~finally:(fun () -> Atomic.set t.finished true)
-             (fun () -> loop t)));
-  t
+  (* Stop policy: leave the loop at once — no new connections or
+     requests, buffered but unsubmitted bytes discarded — then answer
+     every accepted computation (the workers keep writing replies while
+     the drain blocks) before the connections close. *)
+  Net.start ~faults ~timeout:(-1.) ~on_line:(handle_line sched)
+    ~drain:(fun () -> false)
+    ~finish:(fun () -> Scheduler.drain ~grace sched)
+    listener
 
-let stop t =
-  if not (Atomic.exchange t.stopping true) then
-    try ignore (Unix.write_substring t.pipe_w "x" 0 1)
-    with Unix.Unix_error _ -> ()
-
-let wait t =
-  (* Poll rather than block straight into [Domain.join]: only the main
-     domain runs OCaml signal handlers, and only at safepoints — a
-     main domain parked inside [join] would never execute the SIGTERM
-     handler that is supposed to stop the loop. The sleep loop reaches
-     a safepoint every iteration (and immediately after a signal
-     interrupts the sleep). *)
-  while not (Atomic.get t.finished) do
-    Unix.sleepf 0.05
-  done;
-  Mutex.lock t.join_lock;
-  (match t.loop with
-  | None -> ()
-  | Some d ->
-      t.loop <- None;
-      Domain.join d);
-  Mutex.unlock t.join_lock
-
-let scheduler t = t.sched
-let bound_addr t = t.bound
+let stop = Net.stop
+let wait = Net.wait
+let bound_addr = Net.bound
 
 let serve ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor ?faults ?grace
     ?(on_ready = fun (_ : t) -> ()) addr =
@@ -421,8 +147,6 @@ let serve ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor ?faults ?grace
     start ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor ?faults ?grace
       addr
   in
-  let handler = Sys.Signal_handle (fun _ -> stop t) in
-  Sys.set_signal Sys.sigterm handler;
-  Sys.set_signal Sys.sigint handler;
+  Net.stop_on_signals (fun () -> stop t);
   on_ready t;
   wait t

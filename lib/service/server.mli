@@ -1,32 +1,19 @@
 (** The verification daemon's network front end.
 
-    A single-threaded [Unix.select] loop (stdlib [Unix] only — no
-    external async runtime) accepts connections on a Unix-domain or
-    TCP socket and reads newline-delimited {!Protocol} requests;
+    {!Net}'s select loop accepts connections on a Unix-domain or TCP
+    socket and hands over newline-delimited {!Protocol} requests;
     verification runs on the {!Scheduler}'s worker domains, whose
     completion callbacks write the response line directly to the
-    client socket under a per-connection mutex. Responses therefore
+    client socket under the connection's lock. Responses therefore
     stream back as computations finish, not in request order.
 
     {b Shutdown.} {!stop} (wired to SIGTERM and SIGINT by {!serve})
-    triggers a graceful drain via a self-pipe: the listener closes, no
-    further input is read (buffered but unsubmitted bytes are
-    discarded), every accepted computation is answered
-    (force-cancelled after the grace period), and the loop exits.
-    SIGPIPE is ignored for the process — a client that hangs up
-    early costs a failed write, not the daemon. *)
-
-type addr =
-  | Unix_socket of string  (** path; unlinked and rebound on start *)
-  | Tcp of string * int
-      (** bind address and port; port [0] asks the kernel for an
-          ephemeral port — read the result back with {!bound_addr} *)
-
-val addr_of_string : string -> (addr, string) result
-(** ["HOST:PORT"] becomes {!Tcp} (port [0] allowed); anything else is
-    a {!Unix_socket} path. *)
-
-val addr_to_string : addr -> string
+    triggers a graceful drain: the listener closes, no further input
+    is read (buffered but unsubmitted bytes are discarded), every
+    accepted computation is answered (force-cancelled after the grace
+    period), and the loop exits. SIGPIPE is ignored for the process —
+    a client that hangs up early costs a failed write, not the
+    daemon. *)
 
 type t
 
@@ -39,7 +26,7 @@ val start :
   ?supervisor:Resilience.Supervisor.policy ->
   ?faults:Resilience.Faults.t ->
   ?grace:float ->
-  addr ->
+  Net.addr ->
   t
 (** Bind, listen, and run the accept loop on its own domain; returns
     once the socket is ready to connect to. [grace] (default 5 s) is
@@ -60,9 +47,7 @@ val stop : t -> unit
 val wait : t -> unit
 (** Block until the loop has exited and the scheduler has drained. *)
 
-val scheduler : t -> Scheduler.t
-
-val bound_addr : t -> addr
+val bound_addr : t -> Net.addr
 (** The address the listener actually bound: equal to the requested
     address except that a TCP port [0] is resolved to the
     kernel-assigned ephemeral port. This is what a readiness
@@ -78,7 +63,7 @@ val serve :
   ?faults:Resilience.Faults.t ->
   ?grace:float ->
   ?on_ready:(t -> unit) ->
-  addr ->
+  Net.addr ->
   unit
 (** The daemon main: {!start}, install SIGTERM/SIGINT handlers that
     {!stop}, call [on_ready] with the running server (so it can

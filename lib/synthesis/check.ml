@@ -81,51 +81,6 @@ let direct ?domains ?supervisor ?faults ?(depth = 100) ~nodes cands =
 (* ------------------------------------------------------------------ *)
 (* Service path: sequential JSON-lines requests over one connection *)
 
-(* Minimal blocking client, the same shape as the load generator's
-   (which keeps its plumbing private). *)
-
-let connect (addr : Service.Server.addr) =
-  match addr with
-  | Service.Server.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Service.Server.Tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (inet, port));
-      fd
-
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
-type line_reader = { fd : Unix.file_descr; rbuf : Buffer.t; scratch : Bytes.t }
-
-let line_reader fd = { fd; rbuf = Buffer.create 512; scratch = Bytes.create 8192 }
-
-let rec read_line_opt r =
-  let s = Buffer.contents r.rbuf in
-  match String.index_opt s '\n' with
-  | Some i ->
-      Buffer.clear r.rbuf;
-      Buffer.add_substring r.rbuf s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
-  | None -> (
-      match Unix.read r.fd r.scratch 0 (Bytes.length r.scratch) with
-      | 0 -> if s = "" then None else (Buffer.clear r.rbuf; Some s)
-      | n ->
-          Buffer.add_subbytes r.rbuf r.scratch 0 n;
-          read_line_opt r
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line_opt r
-      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          None)
-
 let verdict_of_response = function
   | Service.Protocol.Answer { verdict; _ } -> (
       match verdict with
@@ -143,11 +98,11 @@ let verdict_of_response = function
   | Service.Protocol.Pong _ -> Undetermined "unexpected pong"
 
 let via_service ?(depth = 20) ?(depth_spread = 3) ~nodes addr cands =
-  let fd = connect addr in
+  let fd = Service.Net.connect addr in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
-  let reader = line_reader fd in
+  let reader = Service.Net.reader fd in
   List.mapi
     (fun i c ->
       let cfg = lower ~nodes c in
@@ -158,10 +113,9 @@ let via_service ?(depth = 20) ?(depth_spread = 3) ~nodes addr cands =
           ~config:(Guardian.Feature_set.to_string c.Space.feature_set)
           ~nodes ~engine:"bmc" ~depth:d ()
       in
-      let line = Json.to_string req ^ "\n" in
-      write_all fd line 0 (String.length line);
+      Service.Net.write_all fd (Json.to_string req ^ "\n");
       let verdict, reused_session, warm_depth =
-        match read_line_opt reader with
+        match Service.Net.read_line reader with
         | None -> (Undetermined "connection closed", false, 0)
         | Some l -> (
             match Service.Protocol.decode_response_line l with

@@ -56,7 +56,7 @@ val via_service :
   ?depth:int ->
   ?depth_spread:int ->
   nodes:int ->
-  Service.Server.addr ->
+  Service.Net.addr ->
   Space.candidate list ->
   outcome list
 (** Check candidates against a running daemon over one connection:

@@ -6,7 +6,7 @@ module Prefilter = Prefilter
 module Check = Check
 module Pareto = Pareto
 
-type via = Direct | Service of Service.Server.addr
+type via = Direct | Service of Service.Net.addr
 
 type report = {
   space_size : int;

@@ -21,7 +21,7 @@ module Pareto = Pareto
 
 type via =
   | Direct  (** the in-process {!Portfolio} pool *)
-  | Service of Service.Server.addr
+  | Service of Service.Net.addr
       (** a running verification daemon — the sweep becomes sustained
           near-miss wire traffic for its warm session pool *)
 

@@ -190,18 +190,18 @@ let test_health_ids_distinct () =
 
 let test_parse_ready () =
   Alcotest.(check bool) "tcp readiness" true
-    (Cluster.Worker.parse_ready
+    (Service.Net.parse_ready
        {|{"ready":true,"socket":"127.0.0.1:4321","port":4321}|}
-    = Some ("127.0.0.1:4321", Some 4321));
+    = Some (Service.Net.Tcp ("127.0.0.1", 4321)));
   Alcotest.(check bool) "unix-socket readiness" true
-    (Cluster.Worker.parse_ready {|{"ready":true,"socket":"/tmp/w.sock"}|}
-    = Some ("/tmp/w.sock", None));
+    (Service.Net.parse_ready {|{"ready":true,"socket":"/tmp/w.sock"}|}
+    = Some (Service.Net.Unix_socket "/tmp/w.sock"));
   Alcotest.(check bool) "banner line rejected" true
-    (Cluster.Worker.parse_ready "tta_served: listening on ..." = None);
+    (Service.Net.parse_ready "tta_served: listening on ..." = None);
   Alcotest.(check bool) "ready:false rejected" true
-    (Cluster.Worker.parse_ready {|{"ready":false,"socket":"x"}|} = None);
+    (Service.Net.parse_ready {|{"ready":false,"socket":"x"}|} = None);
   Alcotest.(check bool) "missing socket rejected" true
-    (Cluster.Worker.parse_ready {|{"ready":true}|} = None)
+    (Service.Net.parse_ready {|{"ready":true}|} = None)
 
 let test_rewrite_request_id () =
   let line = {|{"id":"r7","config":"passive","nodes":2,"depth":9}|} in
@@ -426,7 +426,7 @@ let test_breaker_reset_on_respawn () =
 let test_router_end_to_end () =
   let exe = served_exe () in
   let dir = temp_dir () in
-  let addr = Service.Server.Unix_socket (Filename.concat dir "router.sock") in
+  let addr = Service.Net.Unix_socket (Filename.concat dir "router.sock") in
   let ready = Atomic.make 0 in
   let router =
     Cluster.Router.start
@@ -472,7 +472,7 @@ let test_router_failover_mid_stream () =
      successor, the dead worker respawns. *)
   let exe = served_exe () in
   let dir = temp_dir () in
-  let addr = Service.Server.Unix_socket (Filename.concat dir "router.sock") in
+  let addr = Service.Net.Unix_socket (Filename.concat dir "router.sock") in
   let ready = Atomic.make 0 in
   let killed = Atomic.make 0 in
   let respawned = Atomic.make 0 in

@@ -592,6 +592,145 @@ let test_scheduler_warm_sessions () =
   Alcotest.(check int) "entry back in the pool" 1 ps.Sessions.idle
 
 (* ------------------------------------------------------------------ *)
+(* Net: addresses, framing, readiness, close-on-exec *)
+
+module Net = Service.Net
+
+let test_net_addr_roundtrip () =
+  List.iter
+    (fun (s, want, printed) ->
+      match Net.addr_of_string s with
+      | Error e -> Alcotest.failf "%S rejected: %s" s e
+      | Ok a ->
+          Alcotest.(check bool) (s ^ " parses") true (a = want);
+          Alcotest.(check string) (s ^ " prints") printed (Net.addr_to_string a);
+          Alcotest.(check bool) (s ^ " round-trips") true
+            (Net.addr_of_string (Net.addr_to_string a) = Ok a))
+    [
+      ("127.0.0.1:0", Net.Tcp ("127.0.0.1", 0), "127.0.0.1:0");
+      (":7171", Net.Tcp ("127.0.0.1", 7171), "127.0.0.1:7171");
+      ("/tmp/tta.sock", Net.Unix_socket "/tmp/tta.sock", "/tmp/tta.sock");
+    ];
+  Alcotest.(check bool) "port out of range rejected" true
+    (Result.is_error (Net.addr_of_string "127.0.0.1:65536"))
+
+let test_net_ready_golden () =
+  (* CI and the benchmark's process driver parse this line: its bytes
+     are part of the daemons' interface. *)
+  Alcotest.(check string) "tcp readiness"
+    {|{"ready":true,"socket":"127.0.0.1:7171","port":7171}|}
+    (Net.ready_line (Net.Tcp ("127.0.0.1", 7171)));
+  Alcotest.(check string) "unix-socket readiness has no port"
+    {|{"ready":true,"socket":"/tmp/tta.sock"}|}
+    (Net.ready_line (Net.Unix_socket "/tmp/tta.sock"))
+
+let test_net_ready_roundtrip () =
+  List.iter
+    (fun a ->
+      Alcotest.(check bool)
+        (Net.addr_to_string a ^ " round-trips")
+        true
+        (Net.parse_ready (Net.ready_line a) = Some a))
+    [ Net.Tcp ("127.0.0.1", 7171); Net.Unix_socket "/tmp/tta.sock" ]
+
+let test_net_split_lines () =
+  let buf = Buffer.create 16 in
+  let got = ref [] in
+  let feed s =
+    Buffer.add_string buf s;
+    Net.split_lines buf (fun l -> got := l :: !got)
+  in
+  feed "ab";
+  Alcotest.(check (list string)) "a partial line is held back" [] !got;
+  feed "c\nd\n\ne\nf";
+  Alcotest.(check (list string)) "one chunk, several lines"
+    [ "abc"; "d"; ""; "e" ] (List.rev !got);
+  Alcotest.(check string) "trailing partial kept" "f" (Buffer.contents buf)
+
+let test_net_read_line () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Net.write_all w "one\ntwo\nthree";
+  Unix.close w;
+  let reader = Net.reader r in
+  let next () = Net.read_line reader in
+  Alcotest.(check (option string)) "first" (Some "one") (next ());
+  Alcotest.(check (option string)) "second" (Some "two") (next ());
+  Alcotest.(check (option string)) "unterminated tail at EOF" (Some "three")
+    (next ());
+  Alcotest.(check (option string)) "then end of stream" None (next ());
+  Unix.close r
+
+(* A child process that outlives the descriptors the parent closes: a
+   descriptor it inherited would keep the socket open. Until its exec
+   the child holds a copy of every descriptor, close-on-exec or not,
+   so wait for a line it prints after the exec. *)
+let with_child f =
+  let child =
+    Cluster.Worker.spawn ~exe:"/bin/sh" ~args:[ "-c"; "echo up; exec sleep 30" ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Worker.terminate ~grace_s:1.0 child)
+  @@ fun () ->
+  Alcotest.(check (option string)) "child exec'd" (Some "up")
+    (Net.read_line (Net.reader child.Cluster.Worker.stdout));
+  f ()
+
+let test_net_listener_not_inherited () =
+  let fd, bound = Net.listen (Net.Tcp ("127.0.0.1", 0)) in
+  with_child (fun () ->
+      Unix.close fd;
+      (* An inherited listener would hold the port: EADDRINUSE. *)
+      let fd', bound' = Net.listen bound in
+      Unix.close fd';
+      Alcotest.(check string) "same port listened on again"
+        (Net.addr_to_string bound) (Net.addr_to_string bound'))
+
+let test_net_accepted_not_inherited () =
+  let net =
+    Net.start ~faults:Resilience.Faults.disabled ~timeout:(-1.)
+      ~on_line:(fun c line -> Net.send c (line ^ "\n"))
+      ~drain:(fun () -> false) ~finish:ignore
+      (Net.listen (Net.Tcp ("127.0.0.1", 0)))
+  in
+  let fd = Net.connect (Net.bound net) in
+  let reader = Net.reader fd in
+  Net.write_all fd "hello\n";
+  Alcotest.(check (option string)) "echoed through the loop" (Some "hello")
+    (Net.read_line reader);
+  with_child (fun () ->
+      (* Stopping closes the accepted connection in this process. *)
+      Net.stop net;
+      Net.wait net;
+      match Unix.select [ fd ] [] [] 5.0 with
+      | [], _, _ -> Alcotest.fail "the accepted socket outlived its close"
+      | _ ->
+          Alcotest.(check (option string)) "peer reads EOF" None
+            (Net.read_line reader));
+  Unix.close fd
+
+let test_served_busy_address_exits_2 () =
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/tta_served.exe" in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let held, bound = Net.listen (Net.Tcp ("127.0.0.1", 0)) in
+  let addr = Net.addr_to_string bound in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process exe
+      [| exe; "--socket"; addr; "--workers"; "1"; "--no-cache" |]
+      Unix.stdin Unix.stdout err_w
+  in
+  Unix.close err_w;
+  let ic = Unix.in_channel_of_descr err_r in
+  let err = In_channel.input_all ic in
+  close_in ic;
+  let _, status = Unix.waitpid [] pid in
+  Unix.close held;
+  Alcotest.(check bool) "exit status 2" true (status = Unix.WEXITED 2);
+  Alcotest.(check string) "diagnostic"
+    (Printf.sprintf "tta_served: cannot listen on %s: %s\n" addr
+       (Unix.error_message Unix.EADDRINUSE))
+    err
+
+(* ------------------------------------------------------------------ *)
 (* Server + load generator, end to end *)
 
 let test_server_end_to_end () =
@@ -600,12 +739,12 @@ let test_server_end_to_end () =
   let cache = Portfolio.Cache.create ~dir:(Filename.concat dir "cache") () in
   let server =
     Service.Server.start ~workers:2 ~cache ~grace:2.0
-      (Service.Server.Unix_socket sock)
+      (Service.Net.Unix_socket sock)
   in
   let report =
     Service.Loadgen.run ~seed:7 ~nodes ~depth:20
       ~mode:(Service.Loadgen.Closed_loop 3) ~requests:40
-      (Service.Server.Unix_socket sock)
+      (Service.Net.Unix_socket sock)
   in
   Service.Server.stop server;
   Service.Server.wait server;
@@ -645,12 +784,12 @@ let test_server_chaos_answers_everything () =
   in
   let server =
     Service.Server.start ~workers:2 ~cache ~faults ~grace:2.0
-      (Service.Server.Unix_socket sock)
+      (Service.Net.Unix_socket sock)
   in
   let report =
     Service.Loadgen.run ~seed:7 ~nodes ~depth:20 ~retry_budget:2
       ~mode:(Service.Loadgen.Closed_loop 3) ~requests:30
-      (Service.Server.Unix_socket sock)
+      (Service.Net.Unix_socket sock)
   in
   Service.Server.stop server;
   Service.Server.wait server;
@@ -676,7 +815,7 @@ let test_server_degraded_deadline () =
   let pool = Sessions.create () in
   let server =
     Service.Server.start ~workers:1 ~sessions:pool ~grace:2.0
-      (Service.Server.Unix_socket sock)
+      (Service.Net.Unix_socket sock)
   in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX sock);
@@ -808,7 +947,7 @@ let test_loadgen_engine_retry_accounting () =
   let report =
     Service.Loadgen.run ~seed:3 ~nodes ~depth:8 ~retry_budget:2
       ~mode:(Service.Loadgen.Closed_loop 1) ~requests:6
-      (Service.Server.Unix_socket sock)
+      (Service.Net.Unix_socket sock)
   in
   stop ();
   Alcotest.(check int) "all answered on the second ask" 6
@@ -841,7 +980,7 @@ let test_loadgen_conn_retry_accounting () =
   let report =
     Service.Loadgen.run ~seed:3 ~nodes ~depth:8 ~retry_budget:2
       ~mode:(Service.Loadgen.Closed_loop 1) ~requests:5
-      (Service.Server.Unix_socket sock)
+      (Service.Net.Unix_socket sock)
   in
   stop ();
   Alcotest.(check int) "all answered after the reconnect" 5
@@ -857,7 +996,7 @@ let test_server_rejects_malformed_lines () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "tta.sock" in
   let server =
-    Service.Server.start ~workers:1 (Service.Server.Unix_socket sock)
+    Service.Server.start ~workers:1 (Service.Net.Unix_socket sock)
   in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX sock);
@@ -895,7 +1034,7 @@ let test_server_ping_pong () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "tta.sock" in
   let server =
-    Service.Server.start ~workers:1 (Service.Server.Unix_socket sock)
+    Service.Server.start ~workers:1 (Service.Net.Unix_socket sock)
   in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX sock);
@@ -912,10 +1051,10 @@ let test_server_ephemeral_port () =
   (* --port 0 support: bind port 0, read the kernel-chosen port back
      through bound_addr, and talk to it. *)
   let server =
-    Service.Server.start ~workers:1 (Service.Server.Tcp ("127.0.0.1", 0))
+    Service.Server.start ~workers:1 (Service.Net.Tcp ("127.0.0.1", 0))
   in
   (match Service.Server.bound_addr server with
-  | Service.Server.Tcp (host, port) ->
+  | Service.Net.Tcp (host, port) ->
       Alcotest.(check string) "bound host" "127.0.0.1" host;
       Alcotest.(check bool) "ephemeral port resolved" true (port > 0);
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -930,7 +1069,7 @@ let test_server_ephemeral_port () =
       | Ok _ -> Alcotest.fail "expected a pong"
       | Error e -> Alcotest.failf "undecodable response: %s" e);
       Unix.close fd
-  | Service.Server.Unix_socket _ ->
+  | Service.Net.Unix_socket _ ->
       Alcotest.fail "TCP server must report a TCP bound address");
   Service.Server.stop server;
   Service.Server.wait server
@@ -946,7 +1085,7 @@ let test_server_sigterm_drains () =
     Domain.spawn (fun () ->
         Service.Server.serve ~workers:1 ~grace:2.0
           ~on_ready:(fun _ -> Atomic.set ready true)
-          (Service.Server.Unix_socket sock))
+          (Service.Net.Unix_socket sock))
   in
   while not (Atomic.get ready) do
     Unix.sleepf 0.01
@@ -1013,6 +1152,22 @@ let () =
           Alcotest.test_case "warm sessions serve near-miss requests" `Quick
             test_scheduler_warm_sessions;
         ] );
+      ( "net",
+        [
+          Alcotest.test_case "address round-trip" `Quick
+            test_net_addr_roundtrip;
+          Alcotest.test_case "readiness golden" `Quick test_net_ready_golden;
+          Alcotest.test_case "readiness round-trip" `Quick
+            test_net_ready_roundtrip;
+          Alcotest.test_case "splitter keeps partial lines" `Quick
+            test_net_split_lines;
+          Alcotest.test_case "read_line returns the unterminated tail" `Quick
+            test_net_read_line;
+          Alcotest.test_case "listener not inherited by a child" `Quick
+            test_net_listener_not_inherited;
+          Alcotest.test_case "accepted socket not inherited by a child"
+            `Quick test_net_accepted_not_inherited;
+        ] );
       ( "server",
         [
           Alcotest.test_case "end to end with loadgen" `Quick
@@ -1033,5 +1188,7 @@ let () =
             test_server_ephemeral_port;
           Alcotest.test_case "SIGTERM drains gracefully" `Quick
             test_server_sigterm_drains;
+          Alcotest.test_case "busy address exits 2" `Quick
+            test_served_busy_address_exits_2;
         ] );
     ]

@@ -276,7 +276,7 @@ let test_service_path_agrees () =
   let sessions = Sessions.create () in
   let server =
     Service.Server.start ~workers:2 ~sessions
-      (Service.Server.Unix_socket sock)
+      (Service.Net.Unix_socket sock)
   in
   let service =
     Fun.protect
