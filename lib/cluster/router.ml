@@ -71,9 +71,6 @@ type pending = {
           while a hedge is in flight *)
   mutable sent_at : float;  (** when the newest leg was forwarded *)
   mutable hedge_sent : bool;
-  mutable provisional : (string * string) option;
-      (** a failure response (line, worker) held back while another
-          leg may still answer conclusively *)
 }
 
 type wstate =
@@ -132,6 +129,8 @@ type router = {
 }
 
 let is_live w = match w.state with Live _ -> true | _ -> false
+let all_gone t =
+  Array.for_all (function { state = Gone; _ } -> true | _ -> false) t.workers
 
 (* Routing admission: alive *and* the breaker lets new traffic in. *)
 let admits w =
@@ -214,62 +213,58 @@ let rec dispatch t ~now p =
            ready or breaker transition — unless the whole fleet
            crash-looped past its restart gates, in which case nobody
            is ever coming back. *)
-        if
-          Array.for_all
-            (fun w -> match w.state with Gone -> true | _ -> false)
-            t.workers
-        then
+        if all_gone t then
           fail p Protocol.code_engine_failed
             "every worker exceeded its restart budget"
         else t.parked <- p :: t.parked
     | Some name -> forward t ~now (worker_named t name) p
 
+(* Both callers pick [w] through [Ring.route ~accept:admits], so it is
+   live. *)
 and forward t ~now w p =
-  match w.state with
-  | Live { wfd; _ } -> (
-      t.qseq <- t.qseq + 1;
-      let qid = Printf.sprintf "q%d" t.qseq in
-      match rewrite_request_id p.pline ~id:qid with
-      | None ->
-          (* Unreachable for a line that decoded as a request object;
-             answer rather than wedge the client. *)
-          fail p Protocol.code_bad_request "request line is not a JSON object"
-      | Some line -> (
-          let line = line ^ "\n" in
-          Hashtbl.replace t.inflight qid p;
-          let rerouted = p.attempts > 0 && p.legs = [] in
-          p.attempts <- p.attempts + 1;
-          p.legs <- (qid, w.wname) :: p.legs;
-          p.sent_at <- now;
-          (* If this worker is half-open, this request is its probe. *)
-          (match w.breaker with
-          | Some b -> Breaker.probe_started b
-          | None -> ());
-          t.total_forwarded <- t.total_forwarded + 1;
-          bump_forwarded t w.wname;
-          if rerouted then begin
-            Mutex.lock t.stats_lock;
-            t.st_rerouted <- t.st_rerouted + 1;
-            Mutex.unlock t.stats_lock;
-            t.on_event (Rerouted { id = p.orig_id; worker = w.wname })
-          end;
-          (match t.kill_after with
-          | Some n when t.total_forwarded = n -> (
-              match w.state with
-              | Live { proc; _ } ->
-                  (* Testing hook: SIGKILL the worker that just
-                     received the nth request — the hard-crash case
-                     the failover path exists for. Detection is
-                     left to the normal EOF/health machinery. *)
-                  (try Unix.kill proc.Worker.pid Sys.sigkill
-                   with Unix.Unix_error _ -> ());
-                  t.on_event (Killed_by_request { name = w.wname; nth = n })
-              | _ -> ())
-          | _ -> ());
-          link_send t ~now w wfd line ~failed:"write failed"))
-  | _ ->
+  let proc, wfd =
+    match w.state with
+    | Live { proc; wfd; _ } -> (proc, wfd)
+    | Idle _ | Starting _ | Gone ->
+        invalid_arg "Router.forward: worker not live"
+  in
+  t.qseq <- t.qseq + 1;
+  let qid = Printf.sprintf "q%d" t.qseq in
+  match rewrite_request_id p.pline ~id:qid with
+  | None ->
+      (* Unreachable for a line that decoded as a request object;
+         answer rather than wedge the client. *)
+      fail p Protocol.code_bad_request "request line is not a JSON object"
+  | Some line ->
+      let line = line ^ "\n" in
+      Hashtbl.replace t.inflight qid p;
+      let rerouted = p.attempts > 0 && p.legs = [] in
       p.attempts <- p.attempts + 1;
-      dispatch t ~now p
+      p.legs <- (qid, w.wname) :: p.legs;
+      p.sent_at <- now;
+      (* If this worker is half-open, this request is its probe. *)
+      (match w.breaker with
+      | Some b -> Breaker.probe_started b
+      | None -> ());
+      t.total_forwarded <- t.total_forwarded + 1;
+      bump_forwarded t w.wname;
+      if rerouted then begin
+        Mutex.lock t.stats_lock;
+        t.st_rerouted <- t.st_rerouted + 1;
+        Mutex.unlock t.stats_lock;
+        t.on_event (Rerouted { id = p.orig_id; worker = w.wname })
+      end;
+      (match t.kill_after with
+      | Some n when t.total_forwarded = n ->
+          (* Testing hook: SIGKILL the worker that just received the
+             nth request — the hard-crash case the failover path
+             exists for. Detection is left to the normal EOF/health
+             machinery. *)
+          (try Unix.kill proc.Worker.pid Sys.sigkill
+           with Unix.Unix_error _ -> ());
+          t.on_event (Killed_by_request { name = w.wname; nth = n })
+      | _ -> ());
+      link_send t ~now w wfd line ~failed:"write failed"
 
 (* The outbound link hook: a firing [drop] loses the line in the
    network (a request's leg stays registered; the retransmit net or a
@@ -319,7 +314,10 @@ and worker_death t ~now w reason =
       t.on_event (Worker_backoff { name = w.wname; delay_s = d })
   | `Give_up ->
       w.state <- Gone;
-      t.on_event (Worker_gave_up { name = w.wname }));
+      t.on_event (Worker_gave_up { name = w.wname });
+      (* Nobody is ever coming back for the parked requests: re-dispatch
+         fails each with the restart-budget answer. *)
+      if all_gone t then flush_parked t ~now);
   (* Cut the dead worker's legs. A request whose only leg it was gets
      re-dispatched — safe to re-send: workers dedup/coalesce identical
      requests and share the verdict cache, so a request the dead
@@ -406,7 +404,6 @@ let handle_worker_stdout t w =
 let deliver t p line ~worker =
   List.iter (fun (q, _) -> Hashtbl.remove t.inflight q) p.legs;
   p.legs <- [];
-  p.provisional <- None;
   match rewrite_response_line ~hedged:p.hedge_sent line ~id:p.orig_id ~worker with
   | Some out -> Net.send p.pclient (out ^ "\n")
   | None -> ()
@@ -440,14 +437,12 @@ let process_worker_line t ~now w line =
           breaker_record t w ~ok:(not failure);
           Hashtbl.remove t.inflight qid;
           p.legs <- List.filter (fun (q, _) -> q <> qid) p.legs;
+          (* Content, or every leg failed: answer with the freshest
+             failure rather than wait for nothing. A failure while
+             another leg is out is dropped: that leg may still answer
+             with content. *)
           if (not failure) || p.legs = [] then
-            (* Content (or: every leg failed; answer with the freshest
-               failure rather than wait for nothing). *)
-            deliver t p line ~worker:w.wname
-          else
-            (* Hold the failure back: the other leg may still answer
-               with content. *)
-            p.provisional <- Some (line, w.wname))
+            deliver t p line ~worker:w.wname)
 
 let handle_worker_conn t w =
   let now = Unix.gettimeofday () in
@@ -529,6 +524,7 @@ let hedge_and_retransmit t ~now =
       else if
         t.hedge_s > 0.
         && (not p.hedge_sent)
+        && p.attempts < max_attempts t
         && (match p.legs with [ _ ] -> true | _ -> false)
         && now -. p.sent_at >= t.hedge_s
       then
@@ -608,7 +604,6 @@ let handle_request t client line =
           legs = [];
           sent_at = now;
           hedge_sent = false;
-          provisional = None;
         }
 
 (* ------------------------------------------------------------------ *)
@@ -682,10 +677,9 @@ let terminate_fleet t () =
 
 type t = { net : Net.t; router : router }
 
-let start ?(vnodes = 512) ?(supervisor = Resilience.Supervisor.default)
-    ?(max_restarts = 5) ?(restart_window_s = 30.0) ?(health_interval = 0.5)
-    ?(health_timeout = 3.0) ?(start_timeout = 10.0) ?(grace = 10.0)
-    ?kill_after ?(faults = Faults.disabled) ?(hedge_ms = 0)
+let start ?(vnodes = 512) ?(max_restarts = 5) ?(restart_window_s = 30.0)
+    ?(health_interval = 0.5) ?(health_timeout = 3.0) ?(start_timeout = 10.0)
+    ?(grace = 10.0) ?kill_after ?(faults = Faults.disabled) ?(hedge_ms = 0)
     ?(breaker_window = 0) ?(on_event = fun (_ : event) -> ()) ~exe
     ~worker_args ~workers addr =
   if workers < 1 then invalid_arg "Router.start: workers < 1";
@@ -699,7 +693,7 @@ let start ?(vnodes = 512) ?(supervisor = Resilience.Supervisor.default)
       state = Idle { until = 0.0 };  (* due immediately *)
       gate =
         Resilience.Supervisor.Restarts.create ~max_restarts
-          ~window_s:restart_window_s supervisor;
+          ~window_s:restart_window_s ();
       breaker =
         (if breaker_window = 0 then None
          else Some (Breaker.create ~window:breaker_window ()));

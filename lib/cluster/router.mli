@@ -23,7 +23,8 @@
     exponential backoff, giving up on a worker that exceeds
     [max_restarts] deaths in [restart_window_s] (its keys then simply
     belong to its ring successors). While no worker is live, requests
-    park and flush on the next ready.
+    park and flush on the next ready; once the last worker has given
+    up, every parked request is answered [engine_failed].
 
     {b Id rewriting.} The router multiplexes many client connections
     onto one connection per worker, so it substitutes its own request
@@ -86,7 +87,6 @@ type t
 
 val start :
   ?vnodes:int ->
-  ?supervisor:Resilience.Supervisor.policy ->
   ?max_restarts:int ->
   ?restart_window_s:float ->
   ?health_interval:float ->
@@ -107,8 +107,9 @@ val start :
     {!bound_addr}), then run the routing loop on its own domain,
     spawning [workers] processes [exe --socket 127.0.0.1:0
     <worker_args>]. Worker names are [w0..w{n-1}]; [vnodes] (default
-    512) feeds {!Ring.create}. [supervisor] supplies the restart
-    backoff curve; [health_interval]/[health_timeout] (0.5 s / 3 s)
+    512) feeds {!Ring.create}. [max_restarts]/[restart_window_s]
+    (5 / 30 s) configure each worker's {!Resilience.Supervisor.Restarts}
+    gate; [health_interval]/[health_timeout] (0.5 s / 3 s)
     pace the heartbeats; [start_timeout] (10 s) bounds spawn-to-ready;
     [grace] (10 s) bounds the {!stop} drain. [kill_after n] SIGKILLs
     whichever worker receives the [n]-th forwarded request — the CI

@@ -305,9 +305,8 @@ let job ?label ?engine ?(max_depth = 100) cfg =
   let label = match label with Some l -> l | None -> Configs.name cfg in
   { label; cfg; engine; max_depth }
 
-let run_single ?cache ?telemetry ?obs
-    ?(supervisor = Resilience.Supervisor.default)
-    ?(faults = Resilience.Faults.disabled) ~label ~engine ~max_depth cfg =
+let run_single ?cache ?telemetry ?obs ?(faults = Resilience.Faults.disabled)
+    ~label ~engine ~max_depth cfg =
   let model = Build.model cfg in
   let t0 = now () in
   match cache_probe cache ~model ~engines:[ engine ] ~max_depth with
@@ -322,8 +321,8 @@ let run_single ?cache ?telemetry ?obs
   | None ->
       let track = run_track obs ~label engine in
       let o =
-        Resilience.Supervisor.run ~policy:supervisor ~faults ~obs:track
-          ~max_depth (Engine.get engine) cfg
+        Resilience.Supervisor.run ~faults ~obs:track ~max_depth
+          (Engine.get engine) cfg
       in
       let wall_s = now () -. t0 in
       let v, counters, failures =
@@ -346,16 +345,16 @@ let run_single ?cache ?telemetry ?obs
         runs = (if failures = [] then [ (engine, v, wall_s) ] else []);
         failures }
 
-let run_matrix ?domains ?cache ?telemetry ?obs ?supervisor ?faults jobs =
+let run_matrix ?domains ?cache ?telemetry ?obs ?faults jobs =
   let run j =
     match j.engine with
     | Some engine ->
         ( j,
-          run_single ?cache ?telemetry ?obs ?supervisor ?faults ~label:j.label
+          run_single ?cache ?telemetry ?obs ?faults ~label:j.label
             ~engine ~max_depth:j.max_depth j.cfg )
     | None ->
         ( j,
-          race ?cache ?telemetry ?obs ?supervisor ?faults ~label:j.label
+          race ?cache ?telemetry ?obs ?faults ~label:j.label
             ~max_depth:j.max_depth j.cfg )
   in
   let pool_obs =

@@ -100,13 +100,13 @@ val race :
 
     Every racer runs under a {!Resilience.Supervisor} with [supervisor]
     (default {!Resilience.Supervisor.default}): an engine that crashes
-    is retried per the policy and, if it keeps failing (or hangs past
-    the policy's watchdog), becomes an entry in [result.failures] while
-    the surviving racers continue. Only when {e all} engines fail does
-    the race degrade to an [Unknown] verdict carrying the per-engine
-    failure breakdown. [faults] (default {!Resilience.Faults.disabled})
-    threads fault injection into every racer and is what the
-    [--chaos] CLI flag plugs in.
+    is retried per the policy and, if it keeps failing, becomes an
+    entry in [result.failures] while the surviving racers continue.
+    Only when {e all} engines fail does the race degrade to an
+    [Unknown] verdict carrying the per-engine failure breakdown.
+    [faults] (default {!Resilience.Faults.disabled}) threads fault
+    injection into every racer and is what the [--chaos] CLI flag
+    plugs in.
 
     [cancel] is an {e external} cooperative-cancellation hook, OR-ed
     into every racer's own hook — the serving layer uses it for
@@ -138,7 +138,6 @@ val run_matrix :
   ?cache:Cache.t ->
   ?telemetry:Telemetry.t ->
   ?obs:Obs.Collector.t ->
-  ?supervisor:Resilience.Supervisor.policy ->
   ?faults:Resilience.Faults.t ->
   job list ->
   (job * result) list
@@ -146,10 +145,11 @@ val run_matrix :
     (default [Domain.recommended_domain_count ()]); results in job
     order. Racing jobs spawn their engine domains {e in addition} to
     the pool workers — use single-engine jobs when the matrix is wide
-    and racing when it is deep. [supervisor]/[faults] apply to every
-    job as in {!race}; a job whose task raised outside the supervised
-    engine (infrastructure, not verification) still yields a result —
-    an [Unknown] with the exception recorded in [failures]. *)
+    and racing when it is deep. [faults] applies to every job as in
+    {!race}, under {!Resilience.Supervisor.default}; a job whose task
+    raised outside the supervised engine (infrastructure, not
+    verification) still yields a result — an [Unknown] with the
+    exception recorded in [failures]. *)
 
 val section5_jobs :
   ?nodes:int -> ?safe_depth:int -> ?unsafe_depth:int -> ?bmc_depth:int ->

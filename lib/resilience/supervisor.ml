@@ -1,6 +1,6 @@
-(* Supervised engine execution: bounded retries with deterministic
-   backoff, and a watchdog that turns non-cooperative engines into
-   recorded Hung failures. See supervisor.mli. *)
+(* Supervised engine execution: the one bounded retry loop, with
+   deterministic backoff, that engines and warm sessions share. See
+   supervisor.mli. *)
 
 module Engine = Tta_model.Engine
 
@@ -10,20 +10,10 @@ type policy = {
   backoff_max_s : float;
   jitter : float;
   seed : int;
-  watchdog_s : float option;
-  hang_grace_s : float;
 }
 
 let default =
-  {
-    retries = 2;
-    backoff_s = 0.05;
-    backoff_max_s = 2.0;
-    jitter = 0.5;
-    seed = 0;
-    watchdog_s = None;
-    hang_grace_s = 0.25;
-  }
+  { retries = 2; backoff_s = 0.05; backoff_max_s = 2.0; jitter = 0.5; seed = 0 }
 
 (* Delay before attempt [k + 2]: capped exponential with deterministic
    jitter (reused decision hash — the salt just separates the jitter
@@ -41,21 +31,20 @@ let backoff_schedule policy =
    Each [record] call notes one death of the supervised process; deaths
    older than [window_s] roll off. Within the window the k-th death is
    granted the same deterministic capped-exponential backoff the
-   in-process supervisor uses between engine attempts; one death past
-   [max_restarts] means the process is beyond help and the supervisor
-   should stop resurrecting it. *)
+   in-process supervisor uses between engine attempts under the
+   default policy; one death past [max_restarts] means the process is
+   beyond help and the supervisor should stop resurrecting it. *)
 module Restarts = struct
   type t = {
-    policy : policy;
     max_restarts : int;
     window_s : float;
     mutable deaths : float list;  (** newest first, within the window *)
   }
 
-  let create ?(max_restarts = 5) ?(window_s = 30.0) policy =
+  let create ?(max_restarts = 5) ?(window_s = 30.0) () =
     if max_restarts < 1 then invalid_arg "Restarts.create: max_restarts < 1";
     if window_s <= 0.0 then invalid_arg "Restarts.create: window_s <= 0";
-    { policy; max_restarts; window_s; deaths = [] }
+    { max_restarts; window_s; deaths = [] }
 
   let record ?now t =
     let now = match now with Some n -> n | None -> Unix.gettimeofday () in
@@ -64,31 +53,26 @@ module Restarts = struct
     t.deaths <- deaths;
     let n = List.length deaths in
     if n > t.max_restarts then `Give_up
-    else `Backoff (backoff_delay t.policy (n - 1))
+    else `Backoff (backoff_delay default (n - 1))
 
   let count t = List.length t.deaths
 end
 
-type failure =
-  | Crashed of { attempts : int; last_error : string }
-  | Hung of { attempts : int; watchdog_s : float }
+type failure = Crashed of { attempts : int; last_error : string }
 
-let failure_to_string = function
-  | Crashed { attempts; last_error } ->
-      Printf.sprintf "crashed after %d attempt(s): %s" attempts last_error
-  | Hung { attempts; watchdog_s } ->
-      Printf.sprintf "hung on attempt %d (watchdog %.3gs)" attempts watchdog_s
+let failure_to_string (Crashed { attempts; last_error }) =
+  Printf.sprintf "crashed after %d attempt(s): %s" attempts last_error
 
-type outcome = {
-  result : (Engine.result, failure) result;
+type 'a outcome = {
+  result : ('a, failure) result;
   attempts : int;
   backoffs_s : float list;
   counters : (string * int) list;
-  wall_s : float;
 }
 
 (* Sleep in short chunks so an external cancellation (the race already
-   has a winner) cuts the backoff short. *)
+   has a winner, the request's deadline passed) cuts the backoff
+   short. *)
 let interruptible_sleep d cancel =
   let rec go remaining =
     if remaining > 0. && not (cancel ()) then begin
@@ -99,96 +83,29 @@ let interruptible_sleep d cancel =
   in
   go d
 
-let run ?(policy = default) ?(faults = Faults.disabled) ?obs
-    ?(cancel = fun () -> false) ?max_depth (engine : Engine.t) cfg =
-  let t0 = Unix.gettimeofday () in
-  let retries_c = ref 0 and crashes_c = ref 0 and hangs_c = ref 0 in
-  let obs_tick name =
-    match obs with
-    | Some o when Obs.enabled o -> Obs.incr_by o name 1
-    | _ -> ()
+let retry ?(policy = default) ?(faults = Faults.disabled) ?obs
+    ?(cancel = fun () -> false) attempt =
+  let retries_c = ref 0 and crashes_c = ref 0 in
+  let tick c name =
+    incr c;
+    Option.iter (fun o -> Obs.incr_by o name 1) obs
   in
-  (* The engine's cooperative safepoint doubles as the Engine_step fault
-     hook: an injected crash surfaces as an engine exception mid-run, an
-     injected stall as an engine that stopped making progress. *)
-  let wrapped_cancel wd_fired () =
+  (* The attempt's cooperative safepoint doubles as the Engine_step
+     fault hook: an injected crash surfaces as an exception mid-run, an
+     injected stall as an attempt that stopped making progress. *)
+  let step_cancel () =
     Faults.hit faults Faults.Engine_step;
-    Atomic.get wd_fired || cancel ()
-  in
-  let attempt wd_fired =
-    try
-      Faults.hit faults Faults.Engine_start;
-      match policy.watchdog_s with
-      | None -> (
-          match engine.Engine.run ~cancel:(wrapped_cancel wd_fired) ?obs
-                  ?max_depth cfg
-          with
-          | r -> `Done r
-          | exception e -> `Raised e)
-      | Some w -> (
-          (* Run the attempt on its own domain so a hung engine can be
-             abandoned without taking the supervisor down with it. *)
-          let attempt_t0 = Unix.gettimeofday () in
-          let slot = Atomic.make `Pending in
-          let d =
-            Domain.spawn (fun () ->
-                match
-                  engine.Engine.run ~cancel:(wrapped_cancel wd_fired) ?obs
-                    ?max_depth cfg
-                with
-                | r -> Atomic.set slot (`Done r)
-                | exception e -> Atomic.set slot (`Raised e))
-          in
-          let rec wait limit =
-            match Atomic.get slot with
-            | `Pending ->
-                if Unix.gettimeofday () >= limit then `Timeout
-                else begin
-                  Unix.sleepf 0.002;
-                  wait limit
-                end
-            | (`Done _ | `Raised _) as s -> s
-          in
-          match wait (attempt_t0 +. w) with
-          | (`Done _ | `Raised _) as s ->
-              Domain.join d;
-              s
-          | `Timeout -> (
-              Atomic.set wd_fired true;
-              match wait (Unix.gettimeofday () +. policy.hang_grace_s) with
-              | `Raised e ->
-                  Domain.join d;
-                  `Raised e
-              | `Done r -> (
-                  Domain.join d;
-                  (* A late but conclusive verdict is still a verdict;
-                     a late "I was cancelled" is a hang on the record. *)
-                  match r.Engine.verdict with
-                  | Engine.Holds _ | Engine.Violated _ -> `Done r
-                  | Engine.Unknown _ -> `Hung w)
-              | `Timeout ->
-                  (* Abandon the attempt; a detached joiner reclaims the
-                     domain if it ever finishes. *)
-                  ignore
-                    (Domain.spawn (fun () -> try Domain.join d with _ -> ())
-                      : unit Domain.t);
-                  `Hung w))
-    with e -> `Raised e
+    cancel ()
   in
   let backoffs = ref [] in
   let rec go attempt_no =
-    let wd_fired = Atomic.make false in
-    match attempt wd_fired with
-    | `Done r -> (Ok r, attempt_no)
-    | `Hung w ->
-        (* Hangs are terminal: the watchdog is a wall-clock budget, and
-           this attempt already spent it. *)
-        incr hangs_c;
-        obs_tick "supervisor.hangs";
-        (Error (Hung { attempts = attempt_no; watchdog_s = w }), attempt_no)
-    | `Raised e ->
-        incr crashes_c;
-        obs_tick "supervisor.crashes";
+    match
+      Faults.hit faults Faults.Engine_start;
+      attempt ~cancel:step_cancel
+    with
+    | r -> (Ok r, attempt_no)
+    | exception e ->
+        tick crashes_c "supervisor.crashes";
         let give_up () =
           ( Error
               (Crashed
@@ -199,8 +116,7 @@ let run ?(policy = default) ?(faults = Faults.disabled) ?obs
         else begin
           let d = backoff_delay policy (attempt_no - 1) in
           backoffs := d :: !backoffs;
-          incr retries_c;
-          obs_tick "supervisor.retries";
+          tick retries_c "supervisor.retries";
           interruptible_sleep d cancel;
           if cancel () then give_up () else go (attempt_no + 1)
         end
@@ -209,16 +125,10 @@ let run ?(policy = default) ?(faults = Faults.disabled) ?obs
   let counters =
     List.filter
       (fun (_, v) -> v > 0)
-      [
-        ("supervisor.retries", !retries_c);
-        ("supervisor.crashes", !crashes_c);
-        ("supervisor.hangs", !hangs_c);
-      ]
+      [ ("supervisor.retries", !retries_c); ("supervisor.crashes", !crashes_c) ]
   in
-  {
-    result;
-    attempts;
-    backoffs_s = List.rev !backoffs;
-    counters;
-    wall_s = Unix.gettimeofday () -. t0;
-  }
+  { result; attempts; backoffs_s = List.rev !backoffs; counters }
+
+let run ?policy ?faults ?obs ?cancel ?max_depth (engine : Engine.t) cfg =
+  retry ?policy ?faults ?obs ?cancel (fun ~cancel ->
+      engine.Engine.run ~cancel ?obs ?max_depth cfg)

@@ -1,19 +1,17 @@
-(** Supervised engine execution: retries, backoff, and a hang watchdog.
+(** Supervised engine execution: the one retry loop.
 
-    [run] wraps {!Tta_model.Engine.t}[.run] with a per-engine policy so
-    that a crashing or hanging engine becomes a recorded {!failure}
-    instead of an exception unwinding through the portfolio:
+    {!retry} owns the engine-crash failure class for the whole stack:
+    the portfolio's racers ({!run}) and the warm-session path
+    ([Sessions.run]) both hand it their attempt, so both spend the
+    same attempt budget under the same backoff and fault hooks:
 
-    - an engine exception (including an injected {!Faults.Injected}
+    - an attempt exception (including an injected {!Faults.Injected}
       crash) is retried up to [retries] times, with capped exponential
       backoff and seeded jitter between attempts;
-    - with a [watchdog_s] budget set, the attempt runs on its own
-      domain; an attempt that exceeds the budget is asked to stop via
-      the cooperative cancel hook, granted [hang_grace_s] to deliver a
-      late conclusive verdict, and otherwise abandoned as {!Hung}
-      (hangs are not retried — the watchdog is a wall-clock budget, and
-      an engine that stopped polling its safepoints cannot be trusted
-      twice).
+    - the external [cancel] (a race already won, a request deadline, a
+      drain force-cancel) cuts a pending backoff short and stops
+      further retries. Hangs are not retried: that cancellation,
+      which is cooperative, is what stops them.
 
     The jitter and therefore the whole backoff sequence are a pure
     function of the policy ({!backoff_schedule}), keeping supervised
@@ -27,20 +25,13 @@ type policy = {
       (** delay is multiplied by [1 + jitter * u], [u] uniform in
           [\[0,1)] derived from [seed] — deterministic, not sampled *)
   seed : int;
-  watchdog_s : float option;
-      (** wall-clock budget per attempt; [None] disables the watchdog
-          and runs the engine on the calling domain *)
-  hang_grace_s : float;
-      (** extra time an over-budget attempt gets to answer the cancel
-          request before being abandoned *)
 }
 
 val default : policy
-(** 2 retries, 50ms base backoff capped at 2s, jitter 0.5, seed 0, no
-    watchdog, 250ms hang grace. *)
+(** 2 retries, 50ms base backoff capped at 2s, jitter 0.5, seed 0. *)
 
 val backoff_schedule : policy -> float list
-(** The exact delays (seconds) [run] sleeps before attempts
+(** The exact delays (seconds) [retry] sleeps before attempts
     [2 .. retries + 1]: [min backoff_max_s (backoff_s * 2^k) * (1 +
     jitter * u_k)]. Exposed so tests can assert the observed backoffs
     against it. *)
@@ -48,9 +39,7 @@ val backoff_schedule : policy -> float list
 val backoff_delay : policy -> int -> float
 (** [backoff_delay policy k] is the single delay before attempt
     [k + 2] — [List.nth (backoff_schedule policy) k], but defined for
-    any [k >= 0] (the cap makes the tail constant up to jitter). Used
-    by {!Restarts} to pace process resurrection with the same
-    deterministic schedule. *)
+    any [k >= 0] (the cap makes the tail constant up to jitter). *)
 
 (** Process-level supervision hook: a restart-intensity gate in the
     Erlang supervisor tradition. The cluster router records one
@@ -62,16 +51,16 @@ val backoff_delay : policy -> int -> float
 module Restarts : sig
   type t
 
-  val create : ?max_restarts:int -> ?window_s:float -> policy -> t
-  (** Defaults: 5 restarts per 30 s window. The [policy] supplies the
-      backoff curve ({!backoff_delay}); its retry count is not used.
+  val create : ?max_restarts:int -> ?window_s:float -> unit -> t
+  (** Defaults: 5 restarts per 30 s window. The backoff curve is fixed:
+      {!backoff_delay} of {!default}.
       @raise Invalid_argument if [max_restarts < 1] or [window_s <= 0]. *)
 
   val record : ?now:float -> t -> [ `Backoff of float | `Give_up ]
   (** Note one death at [now] (default: the current time; injectable
       for deterministic tests). [`Backoff d] grants a respawn after [d]
       seconds — the k-th death in the window gets
-      [backoff_delay policy (k - 1)]. *)
+      [backoff_delay default (k - 1)]. *)
 
   val count : t -> int
   (** Deaths within the window as of the last {!record}. *)
@@ -81,22 +70,35 @@ type failure =
   | Crashed of { attempts : int; last_error : string }
       (** every attempt raised; [last_error] is [Printexc.to_string] of
           the final one *)
-  | Hung of { attempts : int; watchdog_s : float }
-      (** the attempt blew its watchdog budget and did not produce a
-          conclusive verdict within the grace period *)
 
 val failure_to_string : failure -> string
 
-type outcome = {
-  result : (Tta_model.Engine.result, failure) result;
+type 'a outcome = {
+  result : ('a, failure) result;
   attempts : int;  (** total attempts made (>= 1) *)
   backoffs_s : float list;  (** the delays actually slept, in order *)
   counters : (string * int) list;
-      (** the supervisor's own telemetry — [supervisor.retries],
-          [supervisor.crashes], [supervisor.hangs] — nonzero entries
-          only, disjoint from the engine's counters *)
-  wall_s : float;  (** total supervised wall time, backoffs included *)
+      (** the supervisor's own telemetry — [supervisor.retries] and
+          [supervisor.crashes] — nonzero entries only, disjoint from
+          the attempt's counters *)
 }
+
+val retry :
+  ?policy:policy ->
+  ?faults:Faults.t ->
+  ?obs:Obs.t ->
+  ?cancel:(unit -> bool) ->
+  (cancel:(unit -> bool) -> 'a) ->
+  'a outcome
+(** [retry attempt] runs [attempt ~cancel] until it returns, retrying
+    an exception per [policy] (default {!default}). Before every
+    attempt it hits {!Faults.Engine_start} of [faults]; the [cancel]
+    handed to the attempt hits {!Faults.Engine_step} and then polls
+    the external [cancel], so the attempt's cooperative safepoints are
+    the step fault points. An attempt that raised must leave no state
+    behind that the next one could trip over. [obs] receives live
+    [supervisor.*] counter increments when enabled; the same values
+    are always returned in [outcome.counters]. *)
 
 val run :
   ?policy:policy ->
@@ -106,11 +108,6 @@ val run :
   ?max_depth:int ->
   Tta_model.Engine.t ->
   Tta_model.Configs.t ->
-  outcome
-(** Supervised [engine.run]. [faults] hooks {!Faults.Engine_start}
-    before every attempt and {!Faults.Engine_step} into the engine's
-    cooperative cancel polls. [cancel] is the external (portfolio)
-    cancellation: when it turns true, pending backoffs are cut short
-    and no further retries are attempted. [obs] receives live
-    [supervisor.*] counter increments when enabled; the same values are
-    always returned in [outcome.counters]. *)
+  Tta_model.Engine.result outcome
+(** Supervised [engine.run]: {!retry} with the engine run as the
+    attempt, [obs] and [max_depth] passed through. *)

@@ -36,11 +36,11 @@
     learned clauses from earlier near-miss requests. Verdicts are
     unchanged (see {!Sessions.run}); the outcome carries
     [reused_session]/[warm_depth] attribution and conclusive verdicts
-    still land in the shared cache. The session path runs under the
-    same [supervisor] retry policy and [faults] hooks as the portfolio
-    path (retries restart on a fresh session; the per-attempt watchdog
-    does not apply); exhausted retries are answered as a recorded
-    failure that the protocol layer turns into [engine_failed].
+    still land in the shared cache. The session path runs in the
+    portfolio path's retry loop, under the same [supervisor] policy and
+    [faults] hooks (retries restart on a fresh session); exhausted
+    retries are answered as a recorded failure that the protocol layer
+    turns into [engine_failed].
     Multi-engine races and BDD-backed engines take the cold path as
     before. A computation whose
     deadline has already passed when a worker picks it up is skipped —
@@ -75,8 +75,8 @@ val create :
     completed,session_reuses}] counters, and a [service.run] span per
     engine-pool computation. [sessions] attaches a warm solver-session
     pool (see the module doc). [supervisor]/[faults] are forwarded to every
-    {!Portfolio.race} the workers run: a request whose engines all
-    crash or hang is still answered — with a result flagged by
+    {!Portfolio.race} and session run the workers start: a request
+    whose engines all crash is still answered — with a result flagged by
     {!Portfolio.all_failed} that the protocol layer turns into a
     structured [engine_failed] error.
     @raise Invalid_argument if [workers < 1] or [queue_cap < 1]. *)

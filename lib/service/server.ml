@@ -121,12 +121,11 @@ let handle_line sched conn line =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let start ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor
+let start ?workers ?queue_cap ?cache ?sessions ?obs
     ?(faults = Resilience.Faults.disabled) ?(grace = 5.0) addr =
   let listener = Net.listen addr in
   let sched =
-    Scheduler.create ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor
-      ~faults ()
+    Scheduler.create ?workers ?queue_cap ?cache ?sessions ?obs ~faults ()
   in
   (* Stop policy: leave the loop at once — no new connections or
      requests, buffered but unsubmitted bytes discarded — then answer
@@ -141,11 +140,10 @@ let stop = Net.stop
 let wait = Net.wait
 let bound_addr = Net.bound
 
-let serve ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor ?faults ?grace
+let serve ?workers ?queue_cap ?cache ?sessions ?obs ?faults ?grace
     ?(on_ready = fun (_ : t) -> ()) addr =
   let t =
-    start ?workers ?queue_cap ?cache ?sessions ?obs ?supervisor ?faults ?grace
-      addr
+    start ?workers ?queue_cap ?cache ?sessions ?obs ?faults ?grace addr
   in
   Net.stop_on_signals (fun () -> stop t);
   on_ready t;

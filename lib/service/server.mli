@@ -23,7 +23,6 @@ val start :
   ?cache:Portfolio.Cache.t ->
   ?sessions:Sessions.t ->
   ?obs:Obs.Collector.t ->
-  ?supervisor:Resilience.Supervisor.policy ->
   ?faults:Resilience.Faults.t ->
   ?grace:float ->
   Net.addr ->
@@ -59,7 +58,6 @@ val serve :
   ?cache:Portfolio.Cache.t ->
   ?sessions:Sessions.t ->
   ?obs:Obs.Collector.t ->
-  ?supervisor:Resilience.Supervisor.policy ->
   ?faults:Resilience.Faults.t ->
   ?grace:float ->
   ?on_ready:(t -> unit) ->

@@ -182,9 +182,7 @@ let delta before after =
       (name, v1 - v0))
     after
 
-let run t ~engine ?(cancel = fun () -> false) ?obs ?family
-    ?(supervisor = Resilience.Supervisor.default)
-    ?(faults = Resilience.Faults.disabled) ~max_depth cfg =
+let run t ~engine ?cancel ?obs ?family ?supervisor ?faults ~max_depth cfg =
   (match engine with
   | Engine.Sat_bmc | Engine.Sat_induction -> ()
   | _ ->
@@ -206,19 +204,13 @@ let run t ~engine ?(cancel = fun () -> false) ?obs ?family
     | Some o when Obs.enabled o -> o
     | _ -> Obs.Collector.track (Obs.Collector.create ()) name
   in
-  (* The engine's cooperative safepoint doubles as the Engine_step
-     fault hook, exactly as under Resilience.Supervisor.run: an
-     injected crash surfaces as an engine exception mid-run. *)
-  let step_cancel () =
-    Resilience.Faults.hit faults Resilience.Faults.Engine_step;
-    cancel ()
-  in
   (* Best certified clean depth across failed attempts — read before
      each failed session is discarded, so exhausted retries can still
      answer with content (the degraded verdict). *)
   let best_clean = ref (-1) in
-  let attempt () =
-    Resilience.Faults.hit faults Resilience.Faults.Engine_start;
+  (* One attempt: checkout, solve, then check-in — or discard when the
+     solve raised. Retrying it is Resilience.Supervisor's job. *)
+  let attempt ~cancel =
     let entry, reused = checkout t ~family ~fp model in
     let warm_depth = Bmc.depth entry.bmc in
     let c0 = Bmc.counters entry.bmc in
@@ -231,8 +223,7 @@ let run t ~engine ?(cancel = fun () -> false) ?obs ?family
             match engine with
             | Engine.Sat_bmc -> (
                 match
-                  Bmc.check_session ~max_depth ~cancel:step_cancel ~obs
-                    entry.bmc ~bad
+                  Bmc.check_session ~max_depth ~cancel ~obs entry.bmc ~bad
                 with
                 | Bmc.Counterexample trace ->
                     Engine.Violated { trace; model = entry.model }
@@ -263,8 +254,7 @@ let run t ~engine ?(cancel = fun () -> false) ?obs ?family
                    for future BMC queries of the family). *)
                 let ind = Induction.create ~base:entry.bmc entry.enc ~bad in
                 let r =
-                  Induction.check_session ~max_k:max_depth
-                    ~cancel:step_cancel ~obs ind
+                  Induction.check_session ~max_k:max_depth ~cancel ~obs ind
                 in
                 flush obs (Induction.step_counters ind);
                 match r with
@@ -299,42 +289,14 @@ let run t ~engine ?(cancel = fun () -> false) ?obs ?family
     ( verdict,
       { reused; warm_depth; clean_depth = Bmc.clean_depth entry.bmc ~bad } )
   in
-  (* Supervised attempts, mirroring the portfolio path's policy: an
-     engine exception (an injected chaos crash included) is retried
-     with the policy's deterministic backoff, on a *fresh* checkout —
-     the failed attempt's session was discarded above. The per-attempt
-     watchdog is not applied here; sessions rely on the same
-     cooperative [cancel] the scheduler already polls. *)
-  let interruptible_sleep d =
-    let rec go remaining =
-      if remaining > 0. && not (cancel ()) then begin
-        let step = Float.min 0.01 remaining in
-        Unix.sleepf step;
-        go (remaining -. step)
-      end
-    in
-    go d
+  let o =
+    Resilience.Supervisor.retry ?policy:supervisor ?faults ~obs ?cancel attempt
   in
-  (* Exhausted retries surface as [Engine_failed] so the caller can
-     recover the best certified depth along with the cause. *)
-  let fail e =
-    raise
-      (Engine_failed
-         { message = Printexc.to_string e; clean_depth = !best_clean })
-  in
-  let rec go attempt_no =
-    match attempt () with
-    | r -> r
-    | exception e ->
-        Obs.incr_by obs "supervisor.crashes" 1;
-        if attempt_no > supervisor.Resilience.Supervisor.retries || cancel ()
-        then fail e
-        else begin
-          Obs.incr_by obs "supervisor.retries" 1;
-          interruptible_sleep
-            (Resilience.Supervisor.backoff_delay supervisor (attempt_no - 1));
-          if cancel () then fail e else go (attempt_no + 1)
-        end
-  in
-  let verdict, attr = go 1 in
-  ({ Engine.verdict; counters = Obs.counters obs }, attr)
+  match o.Resilience.Supervisor.result with
+  | Ok (verdict, attr) ->
+      ({ Engine.verdict; counters = Obs.counters obs }, attr)
+  | Error (Resilience.Supervisor.Crashed { last_error; _ }) ->
+      (* Exhausted retries surface as [Engine_failed] so the caller can
+         recover the best certified depth along with the cause. *)
+      raise
+        (Engine_failed { message = last_error; clean_depth = !best_clean })

@@ -78,17 +78,16 @@ val run :
     The entry is returned to the pool afterwards, or dropped if the
     run raised.
 
-    The run is supervised like the portfolio path: [faults] hooks
-    {!Resilience.Faults.Engine_start} before every attempt and
-    {!Resilience.Faults.Engine_step} into the cooperative cancel
-    polls, and an engine exception is retried up to
+    The run is supervised by the portfolio path's own loop,
+    {!Resilience.Supervisor.retry}: checkout, solve and check-in are
+    one attempt, so [faults] hooks {!Resilience.Faults.Engine_start}
+    before every attempt and {!Resilience.Faults.Engine_step} into the
+    cooperative cancel polls, and an engine exception is retried up to
     [supervisor.retries] times (default policy) with the policy's
     deterministic backoff — each retry on a fresh checkout, the failed
-    session having been discarded. The policy's per-attempt watchdog
-    is not applied on this path; cancellation stays cooperative via
-    [cancel]. Once retries are exhausted, {!Engine_failed} is raised
-    carrying the last exception's message and the best clean depth
-    the failed attempts certified. *)
+    session having been discarded. Once retries are exhausted,
+    {!Engine_failed} is raised carrying the last exception's message
+    and the best clean depth the failed attempts certified. *)
 
 val peek_clean_depth : t -> ?family:string -> Tta_model.Configs.t -> int
 (** The best certified clean depth for the configuration's safety

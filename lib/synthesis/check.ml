@@ -34,7 +34,7 @@ let of_engine_verdict = function
 (* ------------------------------------------------------------------ *)
 (* Direct path: one pool job per distinct configuration *)
 
-let direct ?domains ?supervisor ?faults ?(depth = 100) ~nodes cands =
+let direct ?domains ?faults ?(depth = 100) ~nodes cands =
   let by_name = Hashtbl.create 8 in
   let keyed =
     List.map
@@ -59,9 +59,7 @@ let direct ?domains ?supervisor ?faults ?(depth = 100) ~nodes cands =
           ~engine:Tta_model.Engine.Bdd_reach ~max_depth:depth cfg)
       uniq
   in
-  let results =
-    Portfolio.run_matrix ?domains ?supervisor ?faults jobs
-  in
+  let results = Portfolio.run_matrix ?domains ?faults jobs in
   let verdicts = Hashtbl.create 8 in
   List.iter2
     (fun (key, _) (_, (r : Portfolio.result)) ->

@@ -40,7 +40,6 @@ val lower : nodes:int -> Space.candidate -> Tta_model.Configs.t
 
 val direct :
   ?domains:int ->
-  ?supervisor:Resilience.Supervisor.policy ->
   ?faults:Resilience.Faults.t ->
   ?depth:int ->
   nodes:int ->

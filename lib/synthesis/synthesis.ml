@@ -39,7 +39,7 @@ let dedup_candidates cands =
     cands
 
 let run ?(seed = 1) ?sample ?(anchors = true) ?(nodes = 2) ?depth ?domains
-    ?supervisor ?faults ?(via = Direct) (space : Space.t) =
+    ?faults ?(via = Direct) (space : Space.t) =
   let t0 = Unix.gettimeofday () in
   let swept =
     match sample with
@@ -53,7 +53,7 @@ let run ?(seed = 1) ?sample ?(anchors = true) ?(nodes = 2) ?depth ?domains
   let survivors, _rejects, rejections = Prefilter.split space cands in
   let outcomes =
     match via with
-    | Direct -> Check.direct ?domains ?supervisor ?faults ?depth ~nodes survivors
+    | Direct -> Check.direct ?domains ?faults ?depth ~nodes survivors
     | Service addr -> Check.via_service ?depth ~nodes addr survivors
   in
   let count p = List.length (List.filter p outcomes) in

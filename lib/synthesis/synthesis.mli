@@ -54,7 +54,6 @@ val run :
   ?nodes:int ->
   ?depth:int ->
   ?domains:int ->
-  ?supervisor:Resilience.Supervisor.policy ->
   ?faults:Resilience.Faults.t ->
   ?via:via ->
   Space.t ->
@@ -64,7 +63,7 @@ val run :
     prepends {!Space.paper_candidates}. [nodes] (default 2) and [depth]
     (path-specific default: 100 for the direct BDD jobs, a 20/22/24
     BMC ratchet via the service) shape the lowered configurations.
-    [domains]/[supervisor]/[faults] apply to the direct path ([faults]
+    [domains]/[faults] apply to the direct path ([faults]
     is the [--chaos] passthrough); the service path inherits whatever
     resilience the daemon was started with. Deterministic end to end
     for fixed arguments: same seed and space give the same candidate

@@ -249,8 +249,7 @@ let test_rewrite_response_line () =
 let test_restarts_gate () =
   let policy = Resilience.Supervisor.default in
   let gate =
-    Resilience.Supervisor.Restarts.create ~max_restarts:3 ~window_s:10.0
-      policy
+    Resilience.Supervisor.Restarts.create ~max_restarts:3 ~window_s:10.0 ()
   in
   (* Deaths 1..3 inside the window: deterministic escalating backoff,
      exactly the supervisor's schedule. *)
@@ -511,6 +510,45 @@ let test_router_failover_mid_stream () =
       Alcotest.(check bool) "victim scheduled for respawn" true
         (Atomic.get respawned >= 1))
 
+let test_router_fails_parked_when_fleet_gives_up () =
+  (* A request that arrives while no worker is live parks; when the
+     last worker then exhausts its restart gate (here: a worker binary
+     that always exits before becoming ready), nobody is ever coming
+     back for it, so it must be answered engine_failed rather than
+     stranded. *)
+  let dir = temp_dir () in
+  let addr = Service.Net.Unix_socket (Filename.concat dir "router.sock") in
+  let router =
+    Cluster.Router.start ~exe:"/bin/false" ~worker_args:[] ~workers:1
+      ~max_restarts:3 addr
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Cluster.Router.stop router;
+      Cluster.Router.wait router)
+    (fun () ->
+      let fd = Service.Net.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Service.Net.write_all fd
+            (Json.to_string
+               (Service.Protocol.request ~id:"stranded" ~config:"passive"
+                  ~nodes:2 ~engine:"bdd" ())
+            ^ "\n");
+          let readable, _, _ = Unix.select [ fd ] [] [] 5.0 in
+          Alcotest.(check bool) "answered within 5 s" true (readable <> []);
+          match
+            Option.map Service.Protocol.decode_response_line
+              (Service.Net.read_line (Service.Net.reader fd))
+          with
+          | Some (Ok (Service.Protocol.Error { id; code; _ })) ->
+              Alcotest.(check (option string)) "the parked request's id"
+                (Some "stranded") id;
+              Alcotest.(check string) "engine_failed"
+                Service.Protocol.code_engine_failed code
+          | _ -> Alcotest.fail "expected an engine_failed error response"))
+
 let () =
   Alcotest.run "cluster"
     [
@@ -563,5 +601,7 @@ let () =
           Alcotest.test_case "end to end" `Quick test_router_end_to_end;
           Alcotest.test_case "failover mid-stream" `Quick
             test_router_failover_mid_stream;
+          Alcotest.test_case "parked request fails once the fleet gives up"
+            `Quick test_router_fails_parked_when_fleet_gives_up;
         ] );
     ]

@@ -1,9 +1,9 @@
 (* Tests for lib/resilience: the deterministic fault-injection
    registry (spec grammar, seeded firing decisions, byte corruption),
-   the supervisor (retry/backoff determinism, crash exhaustion, the
-   hang watchdog), and their integration into the portfolio — cache
-   quarantine on a flipped byte, races surviving a crashing engine,
-   and the all-engines-failed breakdown. 2-node clusters throughout. *)
+   the supervisor (retry/backoff determinism, crash exhaustion), and
+   their integration into the portfolio — cache quarantine on a
+   flipped byte, races surviving a crashing engine, and the
+   all-engines-failed breakdown. 2-node clusters throughout. *)
 
 module Engine = Tta_model.Engine
 module Configs = Tta_model.Configs
@@ -239,15 +239,13 @@ let test_hash_float_pure () =
 (* ------------------------------------------------------------------ *)
 (* Supervisor *)
 
-let policy ?(retries = 3) ?watchdog_s ?(hang_grace_s = 0.1) () =
+let policy ?(retries = 3) () =
   {
     Supervisor.retries;
     backoff_s = 0.005;
     backoff_max_s = 0.02;
     jitter = 0.5;
     seed = 11;
-    watchdog_s;
-    hang_grace_s;
   }
 
 let bdd = Engine.get Engine.Bdd_reach
@@ -299,7 +297,6 @@ let test_supervisor_exhausts_retries () =
         (let s = String.lowercase_ascii last_error in
          (* Printexc renders the Injected exception with its point. *)
          String.length s > 0)
-  | Error f -> Alcotest.failf "expected Crashed, got %s" (Supervisor.failure_to_string f)
   | Ok _ -> Alcotest.fail "expected a failure");
   Alcotest.(check int) "attempts counted" 3 o.Supervisor.attempts;
   Alcotest.(check (list (pair string int)))
@@ -308,30 +305,6 @@ let test_supervisor_exhausts_retries () =
     o.Supervisor.counters;
   Alcotest.(check int) "registry counted every injection" 3
     (List.assoc "engine_start.crash" (Faults.injections faults))
-
-let test_supervisor_watchdog_hangs () =
-  (* The first cooperative-cancellation poll stalls for 500ms while
-     the watchdog budget is 50ms: the attempt must be abandoned as
-     Hung, without retry, well before the stall ends naturally. *)
-  let p = policy ~retries:3 ~watchdog_s:0.05 ~hang_grace_s:0.05 () in
-  let faults = faults_of_spec "5:engine_step=stall500x1" in
-  let t0 = Unix.gettimeofday () in
-  let o =
-    Supervisor.run ~policy:p ~faults ~max_depth:100
-      (Engine.get Engine.Explicit_bfs)
-      (Configs.full_shifting ~nodes ())
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  (match o.Supervisor.result with
-  | Error (Supervisor.Hung { attempts; watchdog_s }) ->
-      Alcotest.(check int) "hangs are not retried" 1 attempts;
-      Alcotest.(check (float 0.)) "budget recorded" 0.05 watchdog_s
-  | Error f -> Alcotest.failf "expected Hung, got %s" (Supervisor.failure_to_string f)
-  | Ok _ -> Alcotest.fail "expected a hang");
-  Alcotest.(check bool) "abandoned promptly, not after the stall" true
-    (dt < 0.4);
-  Alcotest.(check (list (pair string int)))
-    "hang counter" [ ("supervisor.hangs", 1) ] o.Supervisor.counters
 
 (* ------------------------------------------------------------------ *)
 (* Cache quarantine *)
@@ -486,8 +459,6 @@ let () =
             test_supervisor_retries_deterministically;
           Alcotest.test_case "retry exhaustion" `Quick
             test_supervisor_exhausts_retries;
-          Alcotest.test_case "watchdog hangs" `Quick
-            test_supervisor_watchdog_hangs;
         ] );
       ( "cache",
         [

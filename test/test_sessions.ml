@@ -289,6 +289,65 @@ let test_engine_failed_carries_clean_depth () =
       Alcotest.(check bool) "bounded by a fault-free conclusive run" true
         (clean_depth <= failed_bound)
 
+let test_one_loop_one_budget () =
+  (* The portfolio path (Supervisor.run) and the session path
+     (Sessions.run) share one retry loop, so under the same fault spec
+     they spend the same attempt budget: the same attempts, the same
+     injected crashes and the same supervisor.* counters — for a spec
+     the loop recovers from and for one it never does. *)
+  let cfg = Configs.passive ~nodes () in
+  let supervisor = { Resilience.Supervisor.default with backoff_s = 0.001 } in
+  let faults_of spec =
+    match Resilience.Faults.of_spec spec with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "bad chaos spec: %s" e
+  in
+  let crashes f =
+    Option.value ~default:0
+      (List.assoc_opt "engine_start.crash" (Resilience.Faults.injections f))
+  in
+  let track () = Obs.Collector.track (Obs.Collector.create ()) "parity" in
+  let supervisor_counters obs =
+    List.sort compare
+      (List.filter
+         (fun (n, _) -> String.starts_with ~prefix:"supervisor." n)
+         (Obs.counters obs))
+  in
+  List.iter
+    (fun (spec, attempts, recovers) ->
+      let faults = faults_of spec and obs = track () in
+      let o =
+        Resilience.Supervisor.run ~policy:supervisor ~faults ~obs ~max_depth:4
+          (Engine.get Engine.Sat_bmc) cfg
+      in
+      let faults' = faults_of spec and obs' = track () in
+      let ok' =
+        match
+          Sessions.run (Sessions.create ()) ~engine:Engine.Sat_bmc ~obs:obs'
+            ~supervisor ~faults:faults' ~max_depth:4 cfg
+        with
+        | _ -> true
+        | exception Sessions.Engine_failed _ -> false
+      in
+      let check_int what = Alcotest.(check int) (spec ^ ": " ^ what) in
+      check_int "portfolio-path attempts" attempts
+        o.Resilience.Supervisor.attempts;
+      (* Every failed session attempt is exactly one injected crash. *)
+      check_int "session-path attempts" attempts
+        (crashes faults' + if ok' then 1 else 0);
+      Alcotest.(check bool) (spec ^ ": portfolio path recovers") recovers
+        (Result.is_ok o.Resilience.Supervisor.result);
+      Alcotest.(check bool) (spec ^ ": session path recovers") recovers ok';
+      check_int "same injected crashes" (crashes faults) (crashes faults');
+      Alcotest.(check (list (pair string int)))
+        (spec ^ ": same supervisor counters")
+        (List.sort compare o.Resilience.Supervisor.counters)
+        (supervisor_counters obs');
+      Alcotest.(check (list (pair string int)))
+        (spec ^ ": same live counters") (supervisor_counters obs)
+        (supervisor_counters obs'))
+    [ ("5:engine_start=crashx2", 3, true); ("5:engine_start=crash", 3, false) ]
+
 let test_peek_clean_depth () =
   (* The no-run degraded path: a deadline-dead request reads the best
      idle certificate without checking anything out. *)
@@ -346,5 +405,7 @@ let () =
             test_engine_failed_carries_clean_depth;
           Alcotest.test_case "peek reads idle certificates" `Quick
             test_peek_clean_depth;
+          Alcotest.test_case "one loop, one attempt budget" `Quick
+            test_one_loop_one_budget;
         ] );
     ]
