@@ -1,33 +1,21 @@
-(* The benchmark harness: regenerates every table/figure of the paper
-   (one section per experiment id of DESIGN.md), then runs bechamel
-   micro-benchmarks over the performance-critical kernels.
+(* The benchmark harness, one entry point for every measured artifact.
 
-   The model-checking experiments are single-shot wall-clock rows (a
-   4-node SAT/BDD run is minutes, far outside bechamel's regime); the
-   default uses 3-node clusters so a full run finishes in about a
-   minute — pass --paper-scale for the 4-node runs recorded in
-   EXPERIMENTS.md. Numeric experiments re-verify the paper's constants
-   on every run. *)
+   With no subcommand it is the paper-tables run: every table/figure of
+   the paper (one section per experiment id of DESIGN.md), then bechamel
+   micro-benchmarks over the performance-critical kernels. The
+   model-checking experiments are single-shot wall-clock rows (a 4-node
+   SAT/BDD run is minutes, far outside bechamel's regime); the default
+   uses 3-node clusters so a full run finishes in a few minutes — pass
+   --paper-scale for the 4-node runs recorded in EXPERIMENTS.md.
+   Numeric experiments re-verify the paper's constants on every run.
+   It writes no committed file.
 
-let paper_scale = Array.exists (( = ) "--paper-scale") Sys.argv
-let skip_micro = Array.exists (( = ) "--no-micro") Sys.argv
+   Each subcommand produces exactly one committed artifact,
+   BENCH_<subcommand>.json, stamped with its command, the host's core
+   count and the checkout's commit, and exits 1 unless every acceptance
+   check of that artifact holds:
 
-(* Quick mode for the BDD engine: run only the E1-E5 reach rows (and
-   write BENCH_bdd.json), skipping the full table/figure reproduction. *)
-let reach_only = Array.exists (( = ) "--reach-only") Sys.argv
-
-(* Quick mode for CI and iteration on warm solver sessions: run only
-   the warm-vs-cold near-miss stream (and write BENCH_sessions.json),
-   skipping the full table/figure reproduction. *)
-let sessions_only = Array.exists (( = ) "--sessions-only") Sys.argv
-
-(* Quick mode for the guardian design-space synthesizer: one seeded
-   sweep on the direct pool path, the same sweep again as warm-session
-   traffic through an in-process daemon, verdict agreement enforced,
-   BENCH_synth.json written. *)
-let synth_only = Array.exists (( = ) "--synth-only") Sys.argv
-
-let nodes = if paper_scale then 4 else 3
+     dune exec bench/main.exe -- bdd|sessions|synth|cluster|resilience|chaos *)
 
 let heading fmt =
   Printf.ksprintf
@@ -39,6 +27,69 @@ let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+(* ------------------------------------------------------------------ *)
+(* Provenance and gates *)
+
+let nproc = Domain.recommended_domain_count ()
+
+(* The commit HEAD names in the git checkout the bench runs from (its
+   root, where the artifacts land), read from .git directly: a loose or
+   packed ref, or a detached hash. "unknown" outside a git checkout. *)
+let commit () =
+  let read name =
+    try
+      Some
+        (String.trim
+           (In_channel.with_open_bin (Filename.concat ".git" name)
+              In_channel.input_all))
+    with Sys_error _ -> None
+  in
+  match read "HEAD" with
+  | Some h when String.starts_with ~prefix:"ref: " h -> (
+      let r = String.sub h 5 (String.length h - 5) in
+      match read r with
+      | Some sha -> sha
+      | None ->
+          Option.bind (read "packed-refs") (fun packed ->
+              List.find_map
+                (fun line ->
+                  match String.split_on_char ' ' line with
+                  | [ sha; r' ] when r' = r -> Some sha
+                  | _ -> None)
+                (String.split_on_char '\n' packed))
+          |> Option.value ~default:"unknown")
+  | Some sha -> sha
+  | None -> "unknown"
+
+let command args = String.concat " " ("dune exec bench/main.exe --" :: args)
+
+(* The one writer of bench artifacts: provenance first, then the
+   producer's own keys. *)
+let write_artifact ~command path fields =
+  Cli.write_json path
+    (Json.Obj
+       (("generated_by", Json.String command)
+       :: ("nproc", Json.Int nproc)
+       :: ("commit", Json.String (commit ()))
+       :: fields));
+  Printf.printf "machine-readable results written to %s\n%!" path
+
+(* Named acceptance checks: report the failures, true iff none. *)
+let gate checks =
+  let failed = List.filter (fun (_, ok) -> not ok) checks in
+  List.iter (fun (name, _) -> Printf.printf "CHECK FAILED: %s\n" name) failed;
+  Printf.printf "%d/%d checks pass\n%!"
+    (List.length checks - List.length failed)
+    (List.length checks);
+  failed = []
+
+(* A subcommand: run the producer, write BENCH_<stem>.json, and put its
+   checks in the exit code. *)
+let produce stem run =
+  let fields, checks = run () in
+  write_artifact ~command:(command [ stem ]) ("BENCH_" ^ stem ^ ".json") fields;
+  exit (if gate checks then 0 else 1)
 
 (* ------------------------------------------------------------------ *)
 (* Section 5 results: one row per configuration (E1-E5). *)
@@ -56,42 +107,11 @@ let measured_of verdict =
         ok
   | Tta_model.Engine.Unknown { detail } -> "unknown (" ^ detail ^ ")"
 
-(* Machine-readable Section 5 results: per-config outcome and wall
-   time plus the full telemetry (whose records carry each run's
-   counters). Consumed by CI as a build artifact. *)
-let bench_json_path = "BENCH_portfolio.json"
-
-let write_bench_json telemetry results dt =
-  let row ((j : Portfolio.job), (r : Portfolio.result)) =
-    Json.Obj
-      [
-        ("label", Json.String j.Portfolio.label);
-        ( "engine",
-          Json.String (Tta_model.Engine.id_to_string r.Portfolio.engine) );
-        ( "outcome",
-          Json.String
-            (Portfolio.Telemetry.outcome_to_string
-               (Portfolio.Telemetry.outcome_of_verdict r.Portfolio.verdict)) );
-        ("wall_s", Json.Float r.Portfolio.wall_s);
-        ("cache_hit", Json.Bool r.Portfolio.cache_hit);
-      ]
-  in
-  let j =
-    Json.Obj
-      [
-        ("nodes", Json.Int nodes);
-        ("paper_scale", Json.Bool paper_scale);
-        ("matrix_wall_s", Json.Float dt);
-        ("configs", Json.List (List.map row results));
-        ("telemetry", Portfolio.Telemetry.to_json telemetry);
-      ]
-  in
-  let oc = open_out_bin bench_json_path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc
-
-let section5 () =
+(* Section 5 through the portfolio pool; returns the machine-readable
+   results (per-config outcome and wall time plus the full telemetry,
+   whose records carry each run's counters) that CI uploads as
+   BENCH_portfolio.json. *)
+let section5 ~nodes ~paper_scale =
   heading "Section 5.2 — star-coupler fault tolerance (%d nodes, %s)" nodes
     (if paper_scale then "paper scale"
      else "reduced scale; --paper-scale for 4 nodes");
@@ -116,8 +136,27 @@ let section5 () =
   Printf.printf "matrix wall clock on %d domain(s): %.1fs\n%!"
     (Portfolio.Pool.default_domains ()) dt;
   Format.printf "%a%!" Portfolio.Telemetry.pp_table telemetry;
-  write_bench_json telemetry results dt;
-  Printf.printf "machine-readable results written to %s\n%!" bench_json_path
+  let row ((j : Portfolio.job), (r : Portfolio.result)) =
+    Json.Obj
+      [
+        ("label", Json.String j.Portfolio.label);
+        ( "engine",
+          Json.String (Tta_model.Engine.id_to_string r.Portfolio.engine) );
+        ( "outcome",
+          Json.String
+            (Portfolio.Telemetry.outcome_to_string
+               (Portfolio.Telemetry.outcome_of_verdict r.Portfolio.verdict)) );
+        ("wall_s", Json.Float r.Portfolio.wall_s);
+        ("cache_hit", Json.Bool r.Portfolio.cache_hit);
+      ]
+  in
+  [
+    ("nodes", Json.Int nodes);
+    ("paper_scale", Json.Bool paper_scale);
+    ("matrix_wall_s", Json.Float dt);
+    ("configs", Json.List (List.map row results));
+    ("telemetry", Portfolio.Telemetry.to_json telemetry);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 6 numbers and Figure 3 (E6, E7). *)
@@ -270,16 +309,16 @@ let section_extensions () =
 
 (* ------------------------------------------------------------------ *)
 (* The BDD engine on the Section 5 verdicts: one default-tuned fixpoint
-   per configuration (E1-E5). test/test_bench.ml pins each row's
-   verdict, iteration count and trace length. The reference is the
-   seed's recorded 88-121 s per 4-node experiment, not a rerun: the
-   monolithic relational product it used does not finish at paper
-   scale in minutes. Writes BENCH_bdd.json. *)
+   per configuration (E1-E5). The committed BENCH_bdd.json is the 4-node
+   run; test/test_bench.ml pins each of its rows' verdict, iteration
+   count and trace length. The reference is the seed's recorded
+   88-121 s per 4-node experiment, not a rerun: the monolithic
+   relational product it used does not finish at paper scale in
+   minutes. *)
 
-let bdd_json_path = "BENCH_bdd.json"
 let seed_reference_s = (88.0, 121.0)
 
-let section_reach () =
+let section_reach ~nodes =
   heading
     "BDD reachability — Section 5 configurations, default tuning (%d nodes)"
     nodes;
@@ -316,48 +355,46 @@ let section_reach () =
     Printf.printf "  %-24s %-9s %4d %6d %9d %4d %7.2fs\n%!" cfg_name verdict
       trace_len stats.Symkit.Reach.iterations stats.Symkit.Reach.peak_nodes
       (Bdd.gc_count mgr) wall;
-    Json.Obj
-      [
-        ("config", Json.String cfg_name);
-        ("verdict", Json.String verdict);
-        ("trace_len", Json.Int trace_len);
-        ("iterations", Json.Int stats.Symkit.Reach.iterations);
-        ("peak_nodes", Json.Int stats.Symkit.Reach.peak_nodes);
-        ("partitions", Json.Int (Symkit.Enc.n_partitions enc));
-        ("gc_count", Json.Int (Bdd.gc_count mgr));
-        ( "nodes_allocated",
-          Json.Int (List.assoc "bdd.nodes_allocated" (Bdd.counters mgr)) );
-        ("bdd_peak_nodes", Json.Int (Bdd.peak_nodes mgr));
-        ("wall_s", Json.Float wall);
-      ]
+    ( Json.Obj
+        [
+          ("config", Json.String cfg_name);
+          ("verdict", Json.String verdict);
+          ("trace_len", Json.Int trace_len);
+          ("iterations", Json.Int stats.Symkit.Reach.iterations);
+          ("peak_nodes", Json.Int stats.Symkit.Reach.peak_nodes);
+          ("partitions", Json.Int (Symkit.Enc.n_partitions enc));
+          ("gc_count", Json.Int (Bdd.gc_count mgr));
+          ( "nodes_allocated",
+            Json.Int (List.assoc "bdd.nodes_allocated" (Bdd.counters mgr)) );
+          ("bdd_peak_nodes", Json.Int (Bdd.peak_nodes mgr));
+          ("wall_s", Json.Float wall);
+        ],
+      (verdict, wall) )
   in
-  let rows = List.map run_one configs in
+  let rows, outcomes = List.split (List.map run_one configs) in
   let ref_lo, ref_hi = seed_reference_s in
   Printf.printf "  seed reference: %.0f-%.0fs per 4-node experiment\n%!" ref_lo
     ref_hi;
-  let j =
-    Json.Obj
-      [
-        ("nodes", Json.Int nodes);
-        ("paper_scale", Json.Bool paper_scale);
-        ("nproc", Json.Int (Domain.recommended_domain_count ()));
-        ( "seed_reference_s",
-          Json.Obj [ ("min", Json.Float ref_lo); ("max", Json.Float ref_hi) ] );
-        ("rows", Json.List rows);
-      ]
-  in
-  let oc = open_out_bin bdd_json_path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "machine-readable results written to %s\n%!" bdd_json_path
+  ( [
+      ("nodes", Json.Int nodes);
+      ("paper_scale", Json.Bool (nodes = 4));
+      ( "seed_reference_s",
+        Json.Obj [ ("min", Json.Float ref_lo); ("max", Json.Float ref_hi) ] );
+      ("rows", Json.List rows);
+    ],
+    [
+      ( "E1-E3 safe, E4-E5 violated",
+        List.map fst outcomes
+        = [ "safe"; "safe"; "safe"; "violated"; "violated" ] );
+      ("every row under 30 s", List.for_all (fun (_, w) -> w < 30.0) outcomes);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* E15: sensitivity of the BDD engine to the variable order, measured
    as peak BDD size and proof time of the passive-configuration
    fixpoint. All orders must agree on the verdict. *)
 
-let section_orders () =
+let section_orders ~nodes =
   heading "E15 — BDD variable-order sensitivity (passive config, %d nodes)"
     nodes;
   let cfg = Tta_model.Configs.passive ~nodes () in
@@ -389,7 +426,7 @@ let section_orders () =
    conjunction of choices the replay failure needs, while BMC derives
    it deterministically. *)
 
-let section_walks () =
+let section_walks ~paper_scale =
   heading
     "E17 — random-walk fault injection vs model checking (full shifting, 2 \
      nodes)";
@@ -458,10 +495,8 @@ let section_async () =
 (* Warm solver sessions: a seeded near-miss stream (the same model
    families asked at climbing bounds, interleaved) served twice — cold,
    with a fresh session per query, and warm, against one shared pool.
-   The bench enforces verdict equality itself: any cold/warm
-   disagreement is a hard failure, not a JSON field for CI to notice. *)
-
-let sessions_json_path = "BENCH_sessions.json"
+   Its checks: warm answers equal cold ones, the pool is actually hit,
+   and the warm p50 clears 1.5x. *)
 
 let section_sessions () =
   (* 2-node families: the stream measures the latency distribution of
@@ -559,39 +594,111 @@ let section_sessions () =
     cold_p50 warm_p50 speedup_p50 cold_p95 warm_p95 speedup_p95;
   Printf.printf "  %d/%d warm-session reuses; pool: %d hits, %d misses\n%!"
     reused (List.length warm) s.Sessions.hits s.Sessions.misses;
-  let j =
-    Json.Obj
-      [
-        ("nodes", Json.Int snodes);
-        ("engine", Json.String (Tta_model.Engine.id_to_string engine));
-        ("queries", Json.Int (List.length stream));
-        ("verdicts_agree", Json.Bool !all_agree);
-        ("reused", Json.Int reused);
-        ("cold_p50_ms", Json.Float cold_p50);
-        ("cold_p95_ms", Json.Float cold_p95);
-        ("warm_p50_ms", Json.Float warm_p50);
-        ("warm_p95_ms", Json.Float warm_p95);
-        ("speedup_p50", Json.Float speedup_p50);
-        ("speedup_p95", Json.Float speedup_p95);
-        ("rows", Json.List rows);
-      ]
+  ( [
+      ("nodes", Json.Int snodes);
+      ("engine", Json.String (Tta_model.Engine.id_to_string engine));
+      ("queries", Json.Int (List.length stream));
+      ("verdicts_agree", Json.Bool !all_agree);
+      ("reused", Json.Int reused);
+      ("cold_p50_ms", Json.Float cold_p50);
+      ("cold_p95_ms", Json.Float cold_p95);
+      ("warm_p50_ms", Json.Float warm_p50);
+      ("warm_p95_ms", Json.Float warm_p95);
+      ("speedup_p50", Json.Float speedup_p50);
+      ("speedup_p95", Json.Float speedup_p95);
+      ("rows", Json.List rows);
+    ],
+    [
+      ("cold and warm verdicts agree", !all_agree);
+      ("reused > 0", reused > 0);
+      ("speedup_p50 >= 1.5", speedup_p50 >= 1.5);
+    ] )
+
+(* ------------------------------------------------------------------ *)
+(* In-process daemons and routers over real worker processes *)
+
+let temp_dir label = Filename.temp_dir "tta_bench_" ("_" ^ label)
+
+(* A two-domain tta_served on a scratch socket, drained after [f]. *)
+let with_server ?cache ?sessions ?faults ~label f =
+  let sock = Filename.concat (temp_dir label) "served.sock" in
+  let server =
+    Service.Server.start ~workers:2 ?cache ?sessions ?faults
+      (Service.Net.Unix_socket sock)
   in
-  let oc = open_out_bin sessions_json_path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "machine-readable results written to %s\n%!" sessions_json_path;
-  if not !all_agree then begin
-    Printf.printf "FATAL: warm sessions changed a verdict\n%!";
-    exit 1
-  end
+  Fun.protect
+    ~finally:(fun () ->
+      Service.Server.stop server;
+      Service.Server.wait server)
+    (fun () -> f (Service.Server.bound_addr server))
+
+(* _build/default/bench/main.exe -> _build/default/bin/tta_served.exe;
+   bench/dune makes the daemon a link dependency of this executable, so
+   building one builds both. *)
+let served_exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "tta_served.exe")
+
+(* A router over [workers] fresh tta_served processes sharing a scratch
+   verdict cache. [f] runs only once the whole fleet is up: a row
+   measures steady-state capacity, not daemon boot. 1200 vnodes pins a
+   key->worker assignment that stays balanced at every fleet size (at
+   most 4/3/2 of the 8 routing keys on one worker at 2/4/8 workers);
+   the serve-mode default is coarser. Returns [f]'s result with the
+   router's own counters. *)
+let with_router ?faults ?hedge_ms ?breaker_window ?health_interval
+    ?health_timeout ?(worker_args = []) ~label ~workers f =
+  let dir = temp_dir label in
+  let ready = Atomic.make 0 in
+  let router =
+    Cluster.Router.start ~vnodes:1200 ?faults ?hedge_ms ?breaker_window
+      ?health_interval ?health_timeout
+      ~on_event:(function
+        | Cluster.Router.Worker_ready _ -> Atomic.incr ready
+        | _ -> ())
+      ~exe:served_exe
+      ~worker_args:
+        ([ "--cache-dir"; Filename.concat dir "cache"; "--workers"; "1";
+           "--queue-cap"; "256" ]
+        @ worker_args)
+      ~workers
+      (Service.Net.Unix_socket (Filename.concat dir "router.sock"))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Cluster.Router.stop router;
+      Cluster.Router.wait router)
+  @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while Atomic.get ready < workers && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.05
+  done;
+  if Atomic.get ready < workers then
+    failwith (label ^ ": workers failed to become ready");
+  let r = f (Cluster.Router.bound_addr router) in
+  (r, Cluster.Router.stats router)
+
+(* A load-generator report's keys, for a row to prepend its own to. *)
+let report_fields ~mode r =
+  match Service.Loadgen.report_to_json ~mode r with
+  | Json.Obj kvs -> kvs
+  | _ -> assert false
+
+let verdicts (r : Service.Loadgen.report) = (r.holds, r.violated, r.unknown)
+
+let stream_configs =
+  [ "passive"; "time-windows"; "small-shifting"; "full-shifting" ]
+
+let stream_nodes = [ 2; 3 ]
+
+let strings l = Json.List (List.map (fun s -> Json.String s) l)
+let ints l = Json.List (List.map (fun n -> Json.Int n) l)
 
 (* ------------------------------------------------------------------ *)
 (* Guardian design-space synthesis: the Section 6 sweep, once on the
    in-process pool and once as wire traffic against an in-process
    daemon whose session pool the sweep is meant to keep warm. *)
-
-let synth_json_path = "BENCH_synth.json"
 
 let section_synth () =
   (* 2-node lowerings: the sweep measures pipeline throughput and
@@ -608,24 +715,10 @@ let section_synth () =
   (* The same sweep as daemon traffic: sessions on, verdict cache off,
      so every request is answered by an engine run and the measured
      reuse is the session pool's, not the cache's. *)
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tta_synth_bench_%d.sock" (Unix.getpid ()))
-  in
-  let sessions = Sessions.create () in
-  let server =
-    Service.Server.start ~workers:2 ~sessions (Service.Net.Unix_socket sock)
-  in
   let service =
-    Fun.protect
-      ~finally:(fun () ->
-        Service.Server.stop server;
-        Service.Server.wait server;
-        try Unix.unlink sock with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    Synthesis.run ~seed ~sample ~nodes:snodes
-      ~via:(Synthesis.Service (Service.Server.bound_addr server))
-      space
+    with_server ~sessions:(Sessions.create ()) ~label:"synth" (fun addr ->
+        Synthesis.run ~seed ~sample ~nodes:snodes
+          ~via:(Synthesis.Service addr) space)
   in
   let agree =
     Synthesis.verdict_summary direct = Synthesis.verdict_summary service
@@ -640,54 +733,347 @@ let section_synth () =
      verdicts agree with direct path: %b\n%!"
     requests service.Synthesis.wall_s service.Synthesis.session_reuses
     (100. *. reuse_rate) agree;
-  let j =
-    Json.Obj
+  ( [
+      ("nodes", Json.Int snodes);
+      ("seed", Json.Int seed);
+      ("space_size", Json.Int direct.Synthesis.space_size);
+      ("candidates", Json.Int direct.Synthesis.candidates);
+      ("rejected", Json.Int direct.Synthesis.rejected);
+      ( "rejections",
+        Json.Obj
+          (List.map (fun (k, v) -> (k, Json.Int v)) direct.Synthesis.rejections)
+      );
+      ("survivors", Json.Int direct.Synthesis.survivors);
+      ("upheld", Json.Int direct.Synthesis.upheld);
+      ("breached", Json.Int direct.Synthesis.breached);
+      ("undetermined", Json.Int direct.Synthesis.undetermined);
+      ("envelope_agreement", Json.Bool direct.Synthesis.envelope_agreement);
+      ("frontier_size", Json.Int (List.length direct.Synthesis.frontier));
+      ( "frontier",
+        Json.List (List.map Synthesis.Pareto.to_json direct.Synthesis.frontier)
+      );
+      ("paper_frontier", Json.Bool (Synthesis.paper_frontier_ok direct));
+      ("candidates_per_s", Json.Float direct.Synthesis.candidates_per_s);
+      ("wall_s", Json.Float direct.Synthesis.wall_s);
+      ("verdicts_agree", Json.Bool agree);
+      ("service_requests", Json.Int requests);
+      ("session_reuses", Json.Int service.Synthesis.session_reuses);
+      ("session_reuse_rate", Json.Float reuse_rate);
+      ("service_wall_s", Json.Float service.Synthesis.wall_s);
+    ],
+    [
+      ("candidates >= 200", direct.Synthesis.candidates >= 200);
+      ("rejected > 0", direct.Synthesis.rejected > 0);
+      ("direct envelope agreement", direct.Synthesis.envelope_agreement);
+      ("service envelope agreement", service.Synthesis.envelope_agreement);
+      ("paper frontier", Synthesis.paper_frontier_ok direct);
+      ("direct and service verdicts agree", agree);
+      ("session reuse rate > 0.5", reuse_rate > 0.5);
+    ] )
+
+(* ------------------------------------------------------------------ *)
+(* Cluster scaling: 1 -> 2 -> 4 -> 8 workers.
+
+   Every request carries an injected [engine_start=stall] fault in the
+   worker, a deterministic per-attempt service-time floor. That floor,
+   not engine CPU, dominates the workload — deliberately: it makes the
+   scaling curve measure the cluster fabric (routing, sharding,
+   supervision overhead) identically on a single-core container and a
+   many-core CI runner, where honest CPU-bound scaling would measure
+   the host instead. The engine runs are real but depth-capped short
+   of conclusiveness (that keeps CPU under the floor); every row must
+   report identical verdict counts, and verdict fidelity under
+   failover is the CI cluster smoke's job (conclusive depths). *)
+
+let cluster_requests = 64
+let cluster_concurrency = 16
+let cluster_stall = "1:engine_start=stall900"
+let cluster_fleets = [ 1; 2; 4; 8 ]
+
+(* Shallow depths keep the honest per-request CPU well under the
+   injected stall; the spread still defeats coalescing. *)
+let cluster_depths = List.init 8 (fun i -> 2 + i)
+
+let section_cluster () =
+  heading "Cluster scaling — %s workers"
+    (String.concat "/" (List.map string_of_int cluster_fleets));
+  let mode = Service.Loadgen.Closed_loop cluster_concurrency in
+  let rows =
+    List.map
+      (fun n ->
+        let r, _ =
+          with_router ~label:(Printf.sprintf "w%d" n) ~workers:n
+            ~worker_args:[ "--chaos"; cluster_stall ]
+            (Service.Loadgen.run ~seed:20 ~exhaustive:true
+               ~nodes_choices:stream_nodes ~depths:cluster_depths
+               ~configs:stream_configs ~engines:[ "bdd" ] ~retry_budget:2 ~mode
+               ~requests:cluster_requests)
+        in
+        Printf.printf
+          "  %d workers: %.1f req/s (%d ok, %d errors, imbalance %.2f)\n%!" n
+          r.Service.Loadgen.throughput_rps r.Service.Loadgen.ok
+          r.Service.Loadgen.protocol_errors r.Service.Loadgen.imbalance;
+        (n, r))
+      cluster_fleets
+  in
+  let first = snd (List.hd rows) in
+  let speedup (r : Service.Loadgen.report) =
+    r.throughput_rps /. Float.max 1e-9 first.throughput_rps
+  in
+  let at_max = speedup (snd (List.hd (List.rev rows))) in
+  ( [
+      ("bench", Json.String "cluster_scaling");
+      ( "workload",
+        Json.Obj
+          [
+            ("requests", Json.Int cluster_requests);
+            ("concurrency", Json.Int cluster_concurrency);
+            ("seed", Json.Int 20);
+            ("exhaustive", Json.Bool true);
+            ("vnodes", Json.Int 1200);
+            ("engine", Json.String "bdd");
+            ("configs", strings stream_configs);
+            ("nodes_choices", ints stream_nodes);
+            ("depths", ints cluster_depths);
+            ("chaos", Json.String cluster_stall);
+            ( "note",
+              Json.String
+                "Each engine attempt carries a deterministic injected stall \
+                 as a service-time floor, so the curve measures \
+                 cluster-fabric scaling (consistent-hash sharding, routing, \
+                 supervision) rather than raw engine CPU — host-independent, \
+                 honest on a single-core container. Shards are model \
+                 fingerprints: 4 configs x 2 node counts = 8 routing keys \
+                 over the worker ring. The shallow depth bound keeps CPU \
+                 under the stall floor at the cost of mostly inconclusive \
+                 verdicts; rows must agree on verdict counts, and verdict \
+                 fidelity under failover is pinned by the CI cluster smoke \
+                 at conclusive depths." );
+          ] );
+      ( "rows",
+        Json.List
+          (List.map
+             (fun (n, r) ->
+               Json.Obj
+                 (("workers", Json.Int n)
+                 :: ("speedup", Json.Float (speedup r))
+                 :: report_fields ~mode r))
+             rows) );
+      ("speedup_at_max_workers", Json.Float at_max);
+    ],
+    List.map
+      (fun (n, (r : Service.Loadgen.report)) ->
+        ( Printf.sprintf "%d workers: no protocol errors" n,
+          r.protocol_errors = 0 ))
+      rows
+    @ [
+        (* The same seeded stream must yield the same verdict counts no
+           matter how many workers served it — sharding must not change
+           answers. *)
+        ( "rows agree on verdict counts",
+          List.for_all
+            (fun (_, (r : Service.Loadgen.report)) ->
+              (r.ok, verdicts r) = (first.ok, verdicts first))
+            rows );
+        ("speedup_at_max_workers >= 3.0", at_max >= 3.0);
+      ] )
+
+(* ------------------------------------------------------------------ *)
+(* Resilience: availability and tail latency under seeded link chaos,
+   hedging on vs off.
+
+   One closed-loop (concurrency 1) seeded stream per row, so the
+   router<->worker line sequence — and therefore which line a capped
+   link fault hits — is deterministic: the health interval is pushed
+   past the row's duration (no heartbeat lines compete for the fault
+   caps) and the fault caps are x1. The delay rows inject one 2 s
+   tail-latency event on the first worker response; with hedging off
+   it lands in p99 whole, with hedging on the duplicate leg answers at
+   about the hedge delay. The drop row loses the first forwarded
+   request line outright; the hedge leg is the only recovery inside
+   the bench's horizon (the retransmit net sits at 3x the stretched
+   health timeout), so zero lost requests demonstrates it working.
+   Verdict fidelity is enforced against a direct in-process
+   Service.Server run of the same stream — chaos and hedging may move
+   latency, never answers. *)
+
+let res_requests = 24
+let res_hedge_ms = 150
+let res_breaker_window = 8
+let res_delay_spec = "9:link_recv=delay2000x1"
+let res_drop_spec = "9:link_send=dropx1"
+let res_depths = [ 32; 36; 40 ]
+let res_mode = Service.Loadgen.Closed_loop 1
+
+let res_loadgen =
+  Service.Loadgen.run ~seed:20 ~exhaustive:true ~nodes_choices:stream_nodes
+    ~depths:res_depths ~configs:stream_configs ~engines:[ "bdd" ]
+    ~retry_budget:3 ~mode:res_mode ~requests:res_requests
+
+let section_resilience () =
+  heading "Resilience — hedging under seeded link chaos (%d requests)"
+    res_requests;
+  let direct = with_server ~label:"direct" res_loadgen in
+  let row (label, chaos, hedge_ms) =
+    let faults = Cli.faults_of_chaos chaos in
+    let r, s =
+      with_router ~label ~workers:2 ~faults ~hedge_ms
+        ~breaker_window:res_breaker_window ~health_interval:60.
+        ~health_timeout:120. res_loadgen
+    in
+    (* The router's own counters are authoritative: hedges whose
+       duplicate leg lost the race are invisible in response
+       annotations, and breaker trips never reach the wire at all. *)
+    let r =
+      {
+        r with
+        Service.Loadgen.hedged = s.Cluster.Router.hedged;
+        breaker_opens = s.Cluster.Router.breaker_opens;
+      }
+    in
+    Printf.printf
+      "  %s: %d ok, %d degraded, %.1fms p99, %d hedged, %d retries\n%!" label
+      r.ok r.degraded r.p99_ms r.hedged r.retries;
+    (label, chaos, hedge_ms, r, Resilience.Faults.injections faults)
+  in
+  let rows =
+    List.map row
       [
-        ("nodes", Json.Int snodes);
-        ("seed", Json.Int seed);
-        ("space_size", Json.Int direct.Synthesis.space_size);
-        ("candidates", Json.Int direct.Synthesis.candidates);
-        ("rejected", Json.Int direct.Synthesis.rejected);
-        ( "rejections",
-          Json.Obj
-            (List.map
-               (fun (k, v) -> (k, Json.Int v))
-               direct.Synthesis.rejections) );
-        ("survivors", Json.Int direct.Synthesis.survivors);
-        ("upheld", Json.Int direct.Synthesis.upheld);
-        ("breached", Json.Int direct.Synthesis.breached);
-        ("undetermined", Json.Int direct.Synthesis.undetermined);
-        ("envelope_agreement", Json.Bool direct.Synthesis.envelope_agreement);
-        ("frontier_size", Json.Int (List.length direct.Synthesis.frontier));
-        ( "frontier",
-          Json.List
-            (List.map Synthesis.Pareto.to_json direct.Synthesis.frontier) );
-        ("paper_frontier", Json.Bool (Synthesis.paper_frontier_ok direct));
-        ("candidates_per_s", Json.Float direct.Synthesis.candidates_per_s);
-        ("wall_s", Json.Float direct.Synthesis.wall_s);
-        ("verdicts_agree", Json.Bool agree);
-        ("service_requests", Json.Int requests);
-        ("session_reuses", Json.Int service.Synthesis.session_reuses);
-        ("session_reuse_rate", Json.Float reuse_rate);
-        ("service_wall_s", Json.Float service.Synthesis.wall_s);
+        ("baseline", None, 0);
+        ("delay_hedge_off", Some res_delay_spec, 0);
+        ("delay_hedge_on", Some res_delay_spec, res_hedge_ms);
+        ("drop_hedge_on", Some res_drop_spec, res_hedge_ms);
       ]
   in
-  let oc = open_out_bin synth_json_path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "machine-readable results written to %s\n%!" synth_json_path;
-  let ok =
-    agree && direct.Synthesis.rejected > 0
-    && direct.Synthesis.envelope_agreement
-    && service.Synthesis.envelope_agreement
-    && Synthesis.paper_frontier_ok direct
-    && reuse_rate > 0.5
+  let find label =
+    let _, _, _, r, _ = List.find (fun (l, _, _, _, _) -> l = label) rows in
+    r
   in
-  if not ok then begin
-    Printf.printf "FATAL: synthesis sweep violated an acceptance invariant\n%!";
-    exit 1
-  end
+  let off = find "delay_hedge_off" and on_ = find "delay_hedge_on" in
+  ( [
+      ("bench", Json.String "cluster_resilience");
+      ( "workload",
+        Json.Obj
+          [
+            ("requests", Json.Int res_requests);
+            ("concurrency", Json.Int 1);
+            ("seed", Json.Int 20);
+            ("exhaustive", Json.Bool true);
+            ("workers", Json.Int 2);
+            ("engine", Json.String "bdd");
+            ("configs", strings stream_configs);
+            ("nodes_choices", ints stream_nodes);
+            ("depths", ints res_depths);
+            ("hedge_ms", Json.Int res_hedge_ms);
+            ("breaker_window", Json.Int res_breaker_window);
+            ( "note",
+              Json.String
+                "Closed-loop concurrency 1 with the heartbeat interval pushed \
+                 past the row duration makes the router<->worker line \
+                 sequence deterministic, so the x1-capped link faults hit \
+                 the same line on every run: the delay rows inject one 2 s \
+                 tail-latency event on the first worker response (whole in \
+                 p99 with hedging off, absorbed at about the hedge delay \
+                 with hedging on), and the drop row loses the first \
+                 forwarded request, recovered by the hedge leg. Verdict \
+                 counts must equal the direct in-process single-daemon run \
+                 of the same stream — chaos and hedging move latency, never \
+                 answers." );
+          ] );
+      ("direct_reference", Json.Obj (report_fields ~mode:res_mode direct));
+      ( "rows",
+        Json.List
+          (List.map
+             (fun (label, chaos, hedge, (r : Service.Loadgen.report), fired) ->
+               Json.Obj
+                 ([
+                    ("row", Json.String label);
+                    ( "chaos",
+                      Option.fold ~none:Json.Null
+                        ~some:(fun s -> Json.String s)
+                        chaos );
+                    ("hedge_ms", Json.Int hedge);
+                    ( "availability",
+                      Json.Float
+                        (float_of_int (r.ok + r.degraded)
+                        /. float_of_int (max 1 r.requests)) );
+                    ( "injections",
+                      Json.Obj
+                        (List.map (fun (rule, n) -> (rule, Json.Int n)) fired)
+                    );
+                  ]
+                 @ report_fields ~mode:res_mode r))
+             rows) );
+      ( "hedge_p99_speedup",
+        Json.Float (off.p99_ms /. Float.max 1e-9 on_.p99_ms) );
+    ],
+    List.concat_map
+      (fun (label, _, _, (r : Service.Loadgen.report), _) ->
+        [
+          (label ^ ": no protocol errors", r.protocol_errors = 0);
+          (label ^ ": no lost requests", r.ok + r.degraded = r.requests);
+          ( label ^ ": verdicts equal the direct reference",
+            verdicts r = verdicts direct );
+        ])
+      rows
+    @ [
+        ("four rows", List.length rows = 4);
+        ("hedging improves p99 under delay chaos", on_.p99_ms < off.p99_ms);
+        ("delay_hedge_on hedged", on_.hedged > 0);
+        ("drop_hedge_on hedged", (find "drop_hedge_on").hedged > 0);
+      ] )
+
+(* ------------------------------------------------------------------ *)
+(* Chaos: a seeded 50-request stream against a daemon with
+   deterministic fault injection armed — engine-start crashes,
+   safepoint stalls, cache-read corruption and socket aborts. The
+   supervisor and the load generator's retry budget must get every
+   request answered with the verdict counts of the same stream without
+   the spec, while the retries and cache quarantines show the faults
+   actually fired. *)
+
+let chaos_spec =
+  "7:engine_start=crash@0.2x8,engine_step=stall30@0.1x8,\
+   cache_read=corrupt@0.3x6,sock_send=crashx2"
+
+let chaos_requests = 50
+
+let section_chaos () =
+  heading "Chaos — %d requests under %s" chaos_requests chaos_spec;
+  let mode = Service.Loadgen.Closed_loop 4 in
+  let run label chaos =
+    let faults = Cli.faults_of_chaos chaos in
+    let cache =
+      Portfolio.Cache.create
+        ~dir:(Filename.concat (temp_dir "chaos") "cache")
+        ~faults ()
+    in
+    let r =
+      with_server ~cache ~faults ~label:"chaos"
+        (Service.Loadgen.run ~seed:7 ~nodes:2 ~depth:20 ~retry_budget:3 ~mode
+           ~requests:chaos_requests)
+    in
+    Format.printf "  %s:@.%a" label Service.Loadgen.pp_report r;
+    (r, Portfolio.Cache.quarantined cache, Resilience.Faults.injections faults)
+  in
+  let reference, _, _ = run "fault-free reference" None in
+  let r, quarantined, fired = run "under chaos" (Some chaos_spec) in
+  ( report_fields ~mode r
+    @ [
+        ("chaos", Json.String chaos_spec);
+        ("reference", Json.Obj (report_fields ~mode reference));
+        ("quarantined", Json.Int quarantined);
+        ( "injections",
+          Json.Obj (List.map (fun (rule, n) -> (rule, Json.Int n)) fired) );
+      ],
+    [
+      ("ok = requests = 50", r.ok = r.requests && r.requests = chaos_requests);
+      ("no protocol errors", r.protocol_errors = 0);
+      ( "verdict counts equal the fault-free reference",
+        verdicts r = verdicts reference );
+      ("retries > 0", r.retries > 0);
+      ("cache quarantined > 0", quarantined > 0);
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks over the kernels. *)
@@ -791,25 +1177,69 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let () =
+(* The paper-tables run. Its checks are those of the reach and sessions
+   sections, whose tables it prints; the artifacts those sections feed
+   are their subcommands' to write. *)
+let paper_run paper_scale no_micro =
+  let nodes = if paper_scale then 4 else 3 in
+  let command =
+    command
+      ((if paper_scale then [ "--paper-scale" ] else [])
+      @ if no_micro then [ "--no-micro" ] else [])
+  in
+  Printf.printf "%s (nproc %d, commit %s)\n" command nproc (commit ());
   Printf.printf
     "Reproduction benches: Morris, Kroening, Koopman — \"Fault Tolerance \
      Tradeoffs in Moving from Decentralized to Centralized Embedded \
      Systems\" (DSN 2004)\n";
-  if reach_only then section_reach ()
-  else if sessions_only then section_sessions ()
-  else if synth_only then section_synth ()
-  else begin
-    section5 ();
-    section6 ();
-    section_leaky ();
-    section_sim ();
-    section_extensions ();
-    section_reach ();
-    section_orders ();
-    section_async ();
-    section_walks ();
-    section_sessions ();
-    if not skip_micro then run_micro ()
-  end;
-  print_newline ()
+  write_artifact ~command "BENCH_portfolio.json"
+    (section5 ~nodes ~paper_scale);
+  section6 ();
+  section_leaky ();
+  section_sim ();
+  section_extensions ();
+  let _, reach_checks = section_reach ~nodes in
+  section_orders ~nodes;
+  section_async ();
+  section_walks ~paper_scale;
+  let _, sessions_checks = section_sessions () in
+  if not no_micro then run_micro ();
+  print_newline ();
+  exit (if gate (reach_checks @ sessions_checks) then 0 else 1)
+
+let () =
+  let open Cmdliner in
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let paper =
+    Term.(
+      const paper_run
+      $ flag "paper-scale" "Run the model-checking rows at the paper's 4 nodes."
+      $ flag "no-micro" "Skip the bechamel micro-benchmarks.")
+  in
+  let artifact stem run doc =
+    Cmd.v
+      (Cmd.info stem ~doc:(Printf.sprintf "Write BENCH_%s.json: %s" stem doc))
+      Term.(const (fun () -> produce stem run) $ const ())
+  in
+  exit
+    (Cmd.eval
+       (Cmd.group ~default:paper
+          (Cmd.info "main"
+             ~doc:
+               "Reproduction benches: the paper's tables, or one committed \
+                artifact per subcommand")
+          [
+            artifact "bdd"
+              (fun () -> section_reach ~nodes:4)
+              "the 4-node E1-E5 BDD fixpoints.";
+            artifact "sessions" section_sessions
+              "warm vs cold solver sessions on a near-miss stream.";
+            artifact "synth" section_synth
+              "the guardian synthesis sweep, direct and through a daemon.";
+            artifact "cluster" section_cluster
+              "router throughput at 1, 2, 4 and 8 workers.";
+            artifact "resilience" section_resilience
+              "availability and p99 under link chaos, hedging off and on.";
+            artifact "chaos" section_chaos
+              "a daemon under engine, cache and socket fault injection.";
+          ]))

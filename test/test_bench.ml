@@ -37,6 +37,13 @@ let get_num name json key =
   | Some (Json.Float f) -> f
   | _ -> Alcotest.failf "%s: %s is not a number" name key
 
+let contains sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
 let get_rows name json =
   match Json.member "rows" json with
   | Some (Json.List rows) -> rows
@@ -327,6 +334,16 @@ let test_paper_scale_table () =
      done
    with End_of_file -> close_in ic);
   let lines = List.rev !lines in
+  Alcotest.(check bool)
+    (name ^ ": first line records the command, nproc and commit")
+    true
+    (match lines with
+    | first :: _ ->
+        String.starts_with
+          ~prefix:"dune exec bench/main.exe -- --paper-scale --no-micro (nproc "
+          first
+        && contains ", commit " first
+    | [] -> false);
   let labels =
     List.map
       (fun (job : Portfolio.job) -> job.Portfolio.label)
@@ -383,6 +400,48 @@ let artifacts =
     ("BENCH_bdd.json", test_bdd);
   ]
 
+(* [bench/main.exe ARGS], with its exit code and standard output. *)
+let bench_main args =
+  let out = Filename.temp_file "bench_main" ".out" in
+  let code =
+    Sys.command
+      (Filename.quote_command
+         (Filename.concat ".." (Filename.concat "bench" "main.exe"))
+         ~stdout:out ~stderr:Filename.null args)
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+(* A subcommand exists when its own help page (NAME "main-STEM") comes
+   back; an unknown name falls through to the top-level page. *)
+let subcommand_exists stem =
+  let code, text = bench_main [ stem; "--help=plain" ] in
+  code = 0 && contains ("main-" ^ stem ^ " - ") text
+
+(* One producer per artifact: each names the bench subcommand that
+   wrote it, and records the host's core count and the commit. *)
+let test_provenance name () =
+  let j = load name in
+  let stem =
+    Filename.chop_suffix (String.sub name 6 (String.length name - 6)) ".json"
+  in
+  Alcotest.(check string)
+    (name ^ ": generated_by")
+    ("dune exec bench/main.exe -- " ^ stem)
+    (get_str name j "generated_by");
+  Alcotest.(check bool)
+    (name ^ ": its subcommand exists")
+    true (subcommand_exists stem);
+  Alcotest.(check bool)
+    (name ^ ": nproc recorded")
+    true
+    (get_num name j "nproc" >= 1.0);
+  Alcotest.(check bool)
+    (name ^ ": commit recorded")
+    true
+    (get_str name j "commit" <> "")
+
 let test_manifest () =
   let ic = open_in (Filename.concat ".." ".gitignore") in
   let exceptions = ref [] in
@@ -400,7 +459,11 @@ let test_manifest () =
   Alcotest.(check (list string))
     "artifacts checked here = artifacts .gitignore re-includes"
     (List.sort compare (List.map fst artifacts))
-    (List.sort compare !exceptions)
+    (List.sort compare !exceptions);
+  Alcotest.(check bool) "a made-up subcommand does not exist" false
+    (subcommand_exists "no-such-artifact");
+  Alcotest.(check bool) "a made-up subcommand is rejected" true
+    (fst (bench_main [ "no-such-artifact" ]) <> 0)
 
 let () =
   Alcotest.run "bench schemas"
@@ -409,6 +472,11 @@ let () =
         List.map
           (fun (name, test) -> Alcotest.test_case name `Quick test)
           artifacts
+        @ List.map
+            (fun (name, _) ->
+              Alcotest.test_case (name ^ " provenance") `Quick
+                (test_provenance name))
+            artifacts
         @ [
             Alcotest.test_case ".gitignore manifest" `Quick test_manifest;
             Alcotest.test_case "bench_paper_scale.txt" `Quick
