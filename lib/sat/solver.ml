@@ -27,10 +27,13 @@ module Veci = struct
   let set v i x = v.data.(i) <- x
   let len v = v.len
   let shrink v n = v.len <- n
+  let to_array v = Array.sub v.data 0 v.len
 end
 
 (* Max-heap over variables ordered by activity, with position index for
-   O(log n) increase-key. *)
+   O(log n) increase-key. Every operation takes the activity array
+   itself, so comparisons are unboxed float reads and no closure is
+   built per call. *)
 module Heap = struct
   type t = {
     mutable heap : int array;
@@ -57,20 +60,20 @@ module Heap = struct
     h.pos.(b) <- i;
     h.pos.(a) <- j
 
-  let rec up act h i =
+  let rec up (act : float array) h i =
     if i > 0 then begin
       let p = (i - 1) / 2 in
-      if act h.heap.(i) > act h.heap.(p) then begin
+      if act.(h.heap.(i)) > act.(h.heap.(p)) then begin
         swap h i p;
         up act h p
       end
     end
 
-  let rec down act h i =
+  let rec down (act : float array) h i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let best = ref i in
-    if l < h.size && act h.heap.(l) > act h.heap.(!best) then best := l;
-    if r < h.size && act h.heap.(r) > act h.heap.(!best) then best := r;
+    if l < h.size && act.(h.heap.(l)) > act.(h.heap.(!best)) then best := l;
+    if r < h.size && act.(h.heap.(r)) > act.(h.heap.(!best)) then best := r;
     if !best <> i then begin
       swap h i !best;
       down act h !best
@@ -92,8 +95,9 @@ module Heap = struct
 
   let bump act h v = if mem h v then up act h h.pos.(v)
 
+  (* The most active variable, or -1 when the heap is empty. *)
   let pop act h =
-    if h.size = 0 then None
+    if h.size = 0 then -1
     else begin
       let v = h.heap.(0) in
       h.size <- h.size - 1;
@@ -104,7 +108,7 @@ module Heap = struct
         h.pos.(last) <- 0;
         down act h 0
       end;
-      Some v
+      v
     end
 end
 
@@ -129,6 +133,15 @@ type t = {
      time); original clauses carry 0 and are never deleted. *)
   mutable lbd : int array;
   mutable watches : Veci.t array; (* lit -> clause indices *)
+  (* Conflict-analysis scratch, reused by every conflict: [seen] marks
+     variables (all false between conflicts), [marked] lists the ones
+     set so they can be cleared, [lower] collects the learned literals
+     below the conflict level, and [level_stamp] holds, per decision
+     level, the last conflict whose LBD counted it. *)
+  mutable seen : bool array;
+  marked : Veci.t;
+  lower : Veci.t;
+  mutable level_stamp : int array;
   trail : Veci.t;
   trail_lim : Veci.t;
   mutable qhead : int;
@@ -159,6 +172,10 @@ let create () =
     nclauses = 0;
     lbd = Array.make 64 0;
     watches = Array.init 32 (fun _ -> Veci.create ());
+    seen = Array.make 16 false;
+    marked = Veci.create ();
+    lower = Veci.create ();
+    level_stamp = Array.make 16 0;
     trail = Veci.create ();
     trail_lim = Veci.create ();
     qhead = 0;
@@ -190,6 +207,7 @@ let grow_arrays s n =
   s.reason <- g s.reason (-1);
   s.phase <- g s.phase false;
   s.activity <- g s.activity 0.0;
+  s.seen <- g s.seen false;
   let w = Array.init (2 * n) (fun _ -> Veci.create ()) in
   Array.blit s.watches 0 w 0 (Array.length s.watches);
   s.watches <- w
@@ -198,7 +216,7 @@ let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
   if v >= Array.length s.assigns then grow_arrays s (2 * (v + 1));
-  Heap.insert (fun u -> s.activity.(u)) s.order v;
+  Heap.insert s.activity s.order v;
   v
 
 let value_lit s l =
@@ -226,7 +244,7 @@ let cancel_until s lvl =
       let v = lit_var (Veci.get s.trail i) in
       s.assigns.(v) <- -1;
       s.reason.(v) <- -1;
-      Heap.insert (fun u -> s.activity.(u)) s.order v
+      Heap.insert s.activity s.order v
     done;
     Veci.shrink s.trail bound;
     Veci.shrink s.trail_lim lvl;
@@ -392,16 +410,46 @@ let var_bump s v =
     done;
     s.var_inc <- s.var_inc *. 1e-100
   end;
-  Heap.bump (fun u -> s.activity.(u)) s.order v
+  Heap.bump s.activity s.order v
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
+let mark s v =
+  s.seen.(v) <- true;
+  Veci.push s.marked v
+
+(* Clause minimization: a literal whose reason clause consists only of
+   literals already marked [seen] (or fixed at level 0) is implied by
+   the rest of the clause and can be dropped. The recursion follows
+   reason chains; [seen] stays set on the kept literals, which is
+   exactly the certificate the check needs, and is set on every
+   literal proved redundant along the way (a memo, which makes the
+   answers depend on the order of the queries). *)
+let rec redundant s q depth =
+  depth < 32
+  &&
+  let r = s.reason.(lit_var q) in
+  r >= 0
+  &&
+  let c = s.clauses.(r) in
+  let ok = ref true in
+  for k = 1 to Array.length c - 1 do
+    if !ok then begin
+      let u = lit_var c.(k) in
+      if s.level.(u) > 0 && not s.seen.(u) then
+        if not (redundant s c.(k) (depth + 1)) then ok := false
+        else mark s u
+    end
+  done;
+  !ok
+
 (* First-UIP conflict analysis with recursive clause minimization.
    Returns (learned clause with asserting literal first, backtrack
-   level, literal-block distance). *)
+   level, literal-block distance). Apart from the learned clause it
+   allocates nothing: the scratch lives in the solver and is left
+   clean for the next conflict. *)
 let analyze s confl =
-  let seen = Array.make s.nvars false in
-  let learned = ref [] in
+  Veci.shrink s.lower 0;
   let counter = ref 0 in
   let p = ref (-1) in
   let trail_idx = ref (Veci.len s.trail - 1) in
@@ -413,65 +461,66 @@ let analyze s confl =
     for k = start to Array.length c - 1 do
       let q = c.(k) in
       let v = lit_var q in
-      if (not seen.(v)) && s.level.(v) > 0 then begin
-        seen.(v) <- true;
+      if (not s.seen.(v)) && s.level.(v) > 0 then begin
+        mark s v;
         var_bump s v;
         if s.level.(v) >= decision_level s then incr counter
-        else learned := q :: !learned
+        else Veci.push s.lower q
       end
     done;
     (* Find the next seen literal on the trail. *)
-    while not seen.(lit_var (Veci.get s.trail !trail_idx)) do
+    while not s.seen.(lit_var (Veci.get s.trail !trail_idx)) do
       decr trail_idx
     done;
     let q = Veci.get s.trail !trail_idx in
     decr trail_idx;
     let v = lit_var q in
-    seen.(v) <- false;
+    s.seen.(v) <- false;
     decr counter;
     p := q;
     if !counter = 0 then continue := false
     else confl := s.reason.(v)
   done;
-  (* Minimization: a literal whose reason clause consists only of
-     literals already marked [seen] (or fixed at level 0) is implied by
-     the rest of the clause and can be dropped. The recursion follows
-     reason chains; [seen] stays set on the kept literals, which is
-     exactly the certificate the check needs. *)
-  let rec redundant q depth =
-    depth < 32
-    &&
-    let v = lit_var q in
-    let r = s.reason.(v) in
-    r >= 0
-    &&
-    let c = s.clauses.(r) in
-    let ok = ref true in
-    for k = 1 to Array.length c - 1 do
-      if !ok then begin
-        let u = lit_var c.(k) in
-        if s.level.(u) > 0 && not seen.(u) then
-          if not (redundant c.(k) (depth + 1)) then ok := false
-          else seen.(u) <- true (* memoize along the chain *)
-      end
-    done;
-    !ok
-  in
-  let learned = List.filter (fun q -> not (redundant q 0)) !learned in
-  let learned = negate !p :: learned in
-  let back_level =
-    List.fold_left
-      (fun acc l ->
-        if l = negate !p then acc else max acc s.level.(lit_var l))
-      0 learned
-  in
-  (* LBD: distinct decision levels in the learned clause. *)
-  let lbd =
-    let levels = Hashtbl.create 8 in
-    List.iter (fun l -> Hashtbl.replace levels s.level.(lit_var l) ()) learned;
-    Hashtbl.length levels
-  in
-  (Array.of_list learned, back_level, lbd)
+  (* Minimize newest literal first (the memo in [redundant] makes the
+     order part of the search), compacting the survivors into the top
+     of [lower]; the clause lists them newest first. *)
+  let n = Veci.len s.lower in
+  let kept = ref n in
+  for i = n - 1 downto 0 do
+    let q = Veci.get s.lower i in
+    if not (redundant s q 0) then begin
+      decr kept;
+      Veci.set s.lower !kept q
+    end
+  done;
+  let lits = Array.make (1 + n - !kept) (negate !p) in
+  let back_level = ref 0 in
+  for k = 1 to Array.length lits - 1 do
+    let q = Veci.get s.lower (n - k) in
+    lits.(k) <- q;
+    back_level := max !back_level s.level.(lit_var q)
+  done;
+  for i = 0 to Veci.len s.marked - 1 do
+    s.seen.(Veci.get s.marked i) <- false
+  done;
+  Veci.shrink s.marked 0;
+  (* LBD: distinct decision levels in the learned clause, each counted
+     the first time this conflict's number is stamped on it. *)
+  let dl = decision_level s in
+  if dl >= Array.length s.level_stamp then begin
+    let a = Array.make (2 * (dl + 1)) 0 in
+    Array.blit s.level_stamp 0 a 0 (Array.length s.level_stamp);
+    s.level_stamp <- a
+  end;
+  let lbd = ref 0 in
+  for k = 0 to Array.length lits - 1 do
+    let lv = s.level.(lit_var lits.(k)) in
+    if s.level_stamp.(lv) <> s.conflicts then begin
+      s.level_stamp.(lv) <- s.conflicts;
+      incr lbd
+    end
+  done;
+  (lits, !back_level, !lbd)
 
 let record_learned s lits ~lbd =
   s.learned <- s.learned + 1;
@@ -497,38 +546,39 @@ let record_learned s lits ~lbd =
    the root level. Indexes shift, so the watch lists and reason array
    are rebuilt against the compacted database. *)
 let reduce_db s =
+  let n = s.nclauses in
   (* Clauses currently acting as a reason must survive. *)
-  let is_reason = Hashtbl.create 64 in
+  let is_reason = Array.make n false in
   for i = 0 to Veci.len s.trail - 1 do
     let r = s.reason.(lit_var (Veci.get s.trail i)) in
-    if r >= 0 then Hashtbl.replace is_reason r ()
+    if r >= 0 then is_reason.(r) <- true
   done;
-  let deletable = ref [] in
-  for idx = 0 to s.nclauses - 1 do
-    if s.lbd.(idx) > 2 && not (Hashtbl.mem is_reason idx) then
-      deletable := idx :: !deletable
+  (* Deletable clauses, worst (highest) LBD first, newest first among
+     equals. *)
+  let deletable = Veci.create () in
+  for idx = n - 1 downto 0 do
+    if s.lbd.(idx) > 2 && not is_reason.(idx) then Veci.push deletable idx
   done;
-  let sorted =
-    List.sort (fun a b -> compare s.lbd.(b) s.lbd.(a)) !deletable
-  in
-  let to_drop = List.length sorted / 2 in
-  let dropped = Hashtbl.create (max 16 to_drop) in
-  List.iteri
-    (fun rank idx -> if rank < to_drop then Hashtbl.replace dropped idx ())
-    sorted;
-  if Hashtbl.length dropped > 0 then begin
-    (* Compact the clause arrays and build the index remapping. *)
-    let remap = Array.make s.nclauses (-1) in
+  let sorted = Veci.to_array deletable in
+  Array.stable_sort (fun a b -> compare s.lbd.(b) s.lbd.(a)) sorted;
+  let to_drop = Array.length sorted / 2 in
+  if to_drop > 0 then begin
+    (* Compact the clause arrays; [remap] sends a surviving index to its
+       new place and a dropped one to -1. *)
+    let remap = Array.make n 0 in
+    for rank = 0 to to_drop - 1 do
+      remap.(sorted.(rank)) <- -1
+    done;
     let next = ref 0 in
-    for idx = 0 to s.nclauses - 1 do
-      if not (Hashtbl.mem dropped idx) then begin
+    for idx = 0 to n - 1 do
+      if remap.(idx) = 0 then begin
         remap.(idx) <- !next;
         s.clauses.(!next) <- s.clauses.(idx);
         s.lbd.(!next) <- s.lbd.(idx);
         incr next
       end
     done;
-    s.deleted <- s.deleted + (s.nclauses - !next);
+    s.deleted <- s.deleted + (n - !next);
     s.nclauses <- !next;
     (* Rebuild the watch lists from the two leading literals of every
        surviving clause (the watching invariant stores them there). *)
@@ -554,13 +604,10 @@ let luby i =
   let rec find_k k = if i < (1 lsl k) - 1 then k else find_k (k + 1) in
   go (find_k 1) i
 
-let pick_branch s =
-  let rec go () =
-    match Heap.pop (fun u -> s.activity.(u)) s.order with
-    | None -> None
-    | Some v -> if s.assigns.(v) < 0 then Some v else go ()
-  in
-  go ()
+(* The most active unassigned variable, or -1 when all are assigned. *)
+let rec pick_branch s =
+  let v = Heap.pop s.activity s.order in
+  if v < 0 || s.assigns.(v) < 0 then v else pick_branch s
 
 exception Done of result
 
@@ -632,13 +679,12 @@ let solve ?(assumptions = []) s =
                   enqueue s a (-1)
             end
             else begin
-              match pick_branch s with
-              | None -> raise (Done Sat)
-              | Some v ->
-                  s.decisions <- s.decisions + 1;
-                  Veci.push s.trail_lim (Veci.len s.trail);
-                  let l = if s.phase.(v) then pos v else neg v in
-                  enqueue s l (-1)
+              let v = pick_branch s in
+              if v < 0 then raise (Done Sat);
+              s.decisions <- s.decisions + 1;
+              Veci.push s.trail_lim (Veci.len s.trail);
+              let l = if s.phase.(v) then pos v else neg v in
+              enqueue s l (-1)
             end
           end
         done;

@@ -7,7 +7,8 @@
     query successive unrolling depths incrementally.
 
     Variables are integers allocated by {!new_var}; literals are built
-    with {!pos} and {!neg}. *)
+    with {!pos} and {!neg}. A conflict allocates its learned clause and
+    nothing that grows with the number of variables. *)
 
 type t
 (** A solver instance: variable pool, clause database, search state. *)

@@ -40,28 +40,32 @@ let test_implication_chain () =
   in
   check_result "chain" Sat.Unsat (solver_of n clauses)
 
-(* Pigeonhole: p pigeons into h holes. Variable (i, j) = pigeon i sits in
-   hole j, index i*h + j. Unsat iff p > h. *)
+(* Pigeonhole: p pigeons into h holes, on p*h fresh variables of [s].
+   Returns [var], where [var i j] = pigeon i sits in hole j. Unsat iff
+   p > h. [guard i] is prepended to pigeon i's "sits somewhere"
+   clause. *)
+let add_pigeonhole ?(guard = fun _ -> []) s p h =
+  let first = Sat.nvars s in
+  for _ = 1 to p * h do
+    ignore (Sat.new_var s)
+  done;
+  let var i j = first + (i * h) + j in
+  for i = 0 to p - 1 do
+    Sat.add_clause s (guard i @ List.init h (fun j -> Sat.pos (var i j)))
+  done;
+  for j = 0 to h - 1 do
+    for i = 0 to p - 1 do
+      for i' = i + 1 to p - 1 do
+        Sat.add_clause s [ Sat.neg (var i j); Sat.neg (var i' j) ]
+      done
+    done
+  done;
+  var
+
 let pigeonhole p h =
-  let var i j = (i * h) + j in
-  let each_pigeon =
-    List.init p (fun i -> List.init h (fun j -> (var i j, true)))
-  in
-  let no_sharing =
-    List.concat_map
-      (fun j ->
-        List.concat_map
-          (fun i ->
-            List.filter_map
-              (fun i' ->
-                if i' > i then
-                  Some [ (var i j, false); (var i' j, false) ]
-                else None)
-              (List.init p Fun.id))
-          (List.init p Fun.id))
-      (List.init h Fun.id)
-  in
-  solver_of (p * h) (each_pigeon @ no_sharing)
+  let s = Sat.create () in
+  let _var = add_pigeonhole s p h in
+  s
 
 let test_pigeonhole () =
   check_result "php 4 into 3" Sat.Unsat (pigeonhole 4 3);
@@ -320,45 +324,87 @@ let prop_dimacs_load_agrees =
       let via_dimacs = Sat.solve (Sat.Dimacs.load inst) = Sat.Sat in
       direct = via_dimacs)
 
-(* Clause-database reduction must not change answers: hammer one
-   incremental solver with many solve calls so reductions trigger. *)
-let test_incremental_with_reduction () =
+(* Pigeonhole 8 into 7 with pigeon [i]'s "sits somewhere" clause
+   guarded by selector variable [i], so assumptions choose which
+   pigeons take part: all eight is unsat, any seven is sat. *)
+let guarded_pigeonhole () =
   let s = Sat.create () in
-  let n = 30 in
-  for _ = 0 to n do
+  for _ = 1 to 8 do
     ignore (Sat.new_var s)
   done;
-  (* A chain of xor-ish constraints with changing assumptions. *)
-  for i = 0 to n - 2 do
-    Sat.add_clause s [ Sat.pos i; Sat.pos (i + 1); Sat.neg (i + 2) ];
-    Sat.add_clause s [ Sat.neg i; Sat.neg (i + 1); Sat.neg (i + 2) ];
-    Sat.add_clause s [ Sat.pos i; Sat.neg (i + 1); Sat.pos (i + 2) ];
-    Sat.add_clause s [ Sat.neg i; Sat.pos (i + 1); Sat.pos (i + 2) ]
-  done;
-  (* Each assumption pair fixes the chain; compare against a fresh
-     solver every time. *)
-  for trial = 0 to 40 do
-    let a0 = trial land 1 = 0 and a1 = trial land 2 = 0 in
+  let var = add_pigeonhole ~guard:(fun i -> [ Sat.neg i ]) s 8 7 in
+  (s, var)
+
+(* Clause-database reduction must not change answers: one incremental
+   solver fights the unsat instance long enough to delete learned
+   clauses, and every query, sat or unsat, agrees with a fresh solver. *)
+let test_incremental_with_reduction () =
+  let s, var = guarded_pigeonhole () in
+  for trial = 0 to 7 do
+    (* Even trials seat every pigeon (unsat); odd ones leave pigeon
+       [trial / 2] out (sat). Each trial also bars one placement. *)
     let assumptions =
-      [ (if a0 then Sat.pos 0 else Sat.neg 0);
-        (if a1 then Sat.pos 1 else Sat.neg 1);
-        (if trial land 4 = 0 then Sat.pos (n - 1) else Sat.neg (n - 1)) ]
+      Sat.neg (var (trial mod 8) (trial mod 7))
+      :: List.filter_map
+           (fun i ->
+             if trial land 1 = 1 && i = trial / 2 then None
+             else Some (Sat.pos i))
+           (List.init 8 Fun.id)
     in
-    let fresh = Sat.create () in
-    for _ = 0 to n do
-      ignore (Sat.new_var fresh)
-    done;
-    for i = 0 to n - 2 do
-      Sat.add_clause fresh [ Sat.pos i; Sat.pos (i + 1); Sat.neg (i + 2) ];
-      Sat.add_clause fresh [ Sat.neg i; Sat.neg (i + 1); Sat.neg (i + 2) ];
-      Sat.add_clause fresh [ Sat.pos i; Sat.neg (i + 1); Sat.pos (i + 2) ];
-      Sat.add_clause fresh [ Sat.neg i; Sat.pos (i + 1); Sat.pos (i + 2) ]
-    done;
+    let fresh, _ = guarded_pigeonhole () in
+    let expected = Sat.solve ~assumptions fresh in
     Alcotest.(check bool)
       (Printf.sprintf "trial %d agrees" trial)
-      (Sat.solve ~assumptions fresh = Sat.Sat)
-      (Sat.solve ~assumptions s = Sat.Sat)
-  done
+      (expected = Sat.Sat)
+      (Sat.solve ~assumptions s = Sat.Sat);
+    Alcotest.(check bool)
+      (Printf.sprintf "trial %d answer" trial)
+      (trial land 1 = 1) (expected = Sat.Sat)
+  done;
+  let deleted = List.assoc "sat.deleted" (Sat.counters s) in
+  Alcotest.(check bool)
+    (Printf.sprintf "reduction ran (%d clauses deleted)" deleted)
+    true (deleted > 0)
+
+(* Search-identity pin: the exact effort of one classic unsat instance.
+   A change to the solver's data structures that is meant to be a pure
+   speed change must leave every one of these numbers as it is. *)
+let test_search_pin () =
+  let s = pigeonhole 8 7 in
+  Alcotest.(check bool) "php 8 into 7 unsat" true (Sat.solve s = Sat.Unsat);
+  Alcotest.(check (list (pair string int)))
+    "php 8 into 7 counters"
+    [
+      ("sat.clauses", 3049);
+      ("sat.conflicts", 5562);
+      ("sat.decisions", 6704);
+      ("sat.deleted", 2713);
+      ("sat.learned", 5561);
+      ("sat.propagations", 82078);
+      ("sat.restarts", 60);
+      ("sat.vars", 56);
+    ]
+    (Sat.counters s)
+
+(* Allocation guard: conflict analysis must not allocate per variable.
+   100 000 idle variables sit beside a small unsat instance; a solver
+   that allocated a [nvars]-sized array per conflict would put about
+   100 000 major-heap words on every conflict. *)
+let test_conflicts_allocate_nothing_per_var () =
+  let s = Sat.create () in
+  for _ = 1 to 100_000 do
+    ignore (Sat.new_var s)
+  done;
+  let _var = add_pigeonhole s 7 6 in
+  let _, _, major0 = Gc.counters () in
+  Alcotest.(check bool) "php 7 into 6 unsat" true (Sat.solve s = Sat.Unsat);
+  let _, _, major1 = Gc.counters () in
+  let conflicts = Sat.conflicts s in
+  let per_conflict = (major1 -. major0) /. float_of_int conflicts in
+  Alcotest.(check bool) "search hit conflicts" true (conflicts > 100);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words per conflict" per_conflict)
+    true (per_conflict < 1000.0)
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
@@ -389,6 +435,9 @@ let suite =
     Alcotest.test_case "dimacs solve" `Quick test_dimacs_solve;
     Alcotest.test_case "incremental with clause reduction" `Quick
       test_incremental_with_reduction;
+    Alcotest.test_case "search pin: php 8 into 7" `Quick test_search_pin;
+    Alcotest.test_case "conflicts allocate nothing per variable" `Quick
+      test_conflicts_allocate_nothing_per_var;
   ]
   @ qtests
 

@@ -668,6 +668,41 @@ let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_pred_agrees; prop_trans_pred_agrees; prop_state_roundtrip ]
 
+(* Search-identity pin for the SAT path on the paper's own model: one
+   2-node full-shifting session ratcheted through five bounds. It is
+   clean to 10 and finds the 12-state trace of a coupler freezing a
+   healthy node at 12. The solver counters pin the whole search, so a
+   solver change meant as a pure speed change must leave them as they
+   are. *)
+let test_bmc_session_pin () =
+  let nodes = 2 in
+  let model = Tta_model.Build.model (Tta_model.Configs.full_shifting ~nodes ()) in
+  let bad = Tta_model.Props.integrated_node_frozen ~nodes in
+  let b = Bmc.create (Enc.create (Bdd.create_manager ()) model) in
+  let verdict d =
+    match Bmc.check_session ~max_depth:d b ~bad with
+    | Bmc.Counterexample trace -> Printf.sprintf "violated (%d)" (Array.length trace)
+    | Bmc.No_counterexample (Some k) -> Printf.sprintf "clean to %d" k
+    | Bmc.No_counterexample None -> "clean to none"
+  in
+  Alcotest.(check (list string))
+    "verdicts"
+    [ "clean to 4"; "clean to 6"; "clean to 8"; "clean to 10"; "violated (12)" ]
+    (List.map verdict [ 4; 6; 8; 10; 12 ]);
+  Alcotest.(check (list (pair string int)))
+    "session counters"
+    [
+      ("sat.clauses", 67716);
+      ("sat.conflicts", 5401);
+      ("sat.decisions", 20497);
+      ("sat.deleted", 1891);
+      ("sat.learned", 5401);
+      ("sat.propagations", 4233495);
+      ("sat.restarts", 94);
+      ("sat.vars", 19631);
+    ]
+    (Bmc.counters b)
+
 let suite =
   [
     Alcotest.test_case "eval basics" `Quick test_eval_basic;
@@ -701,6 +736,8 @@ let suite =
     Alcotest.test_case "ctl: mutex" `Quick test_ctl_mutex;
     Alcotest.test_case "ctl: failing state" `Quick
       test_ctl_failing_state_is_reachable;
+    Alcotest.test_case "bmc session search pin (full-shifting)" `Quick
+      test_bmc_session_pin;
     Alcotest.test_case "smv export shape" `Quick test_smv_export_shape;
   ]
   @ qtests
