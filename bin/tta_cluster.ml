@@ -19,8 +19,9 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* One stable line per supervision event — CI and the tests grep
-   these, so the shapes are part of the tool's interface. *)
+(* One stable line per supervision event — CI and the benchmark grep
+   these, so the shapes are part of the tool's interface. Forwarded
+   legs are traffic, not supervision: the exit summary counts them. *)
 let print_event ev =
   (match (ev : Cluster.Router.event) with
   | Cluster.Router.Worker_spawned { name; pid } ->
@@ -35,14 +36,13 @@ let print_event ev =
       Printf.printf "tta_cluster: event gave-up %s\n" name
   | Cluster.Router.Rerouted { id; worker } ->
       Printf.printf "tta_cluster: event reroute id=%s worker=%s\n" id worker
-  | Cluster.Router.Killed_by_request { name; nth } ->
-      Printf.printf "tta_cluster: event kill %s nth=%d\n" name nth
   | Cluster.Router.Breaker_opened { name } ->
       Printf.printf "tta_cluster: event breaker-open %s\n" name
   | Cluster.Router.Breaker_closed { name } ->
       Printf.printf "tta_cluster: event breaker-close %s\n" name
   | Cluster.Router.Hedged { id; worker } ->
-      Printf.printf "tta_cluster: event hedge id=%s worker=%s\n" id worker);
+      Printf.printf "tta_cluster: event hedge id=%s worker=%s\n" id worker
+  | Cluster.Router.Forwarded _ -> ());
   flush stdout
 
 let worker_args ~cache_dir ~cache_max ~sched_workers ~queue_cap ~sessions
@@ -73,7 +73,7 @@ let print_stats router =
 
 let serve socket workers served_exe cache_dir cache_max sched_workers
     queue_cap sessions chaos hedge_ms breaker_window vnodes max_restarts
-    restart_window kill_after grace =
+    restart_window grace =
   let addr = Cli.socket_addr ~exe:"tta_cluster" socket in
   let served_exe =
     match served_exe with Some p -> p | None -> default_served_exe ()
@@ -88,7 +88,7 @@ let serve socket workers served_exe cache_dir cache_max sched_workers
   let router =
     match
       Cluster.Router.start ~vnodes ~max_restarts
-        ~restart_window_s:restart_window ?kill_after ~grace ~faults ~hedge_ms
+        ~restart_window_s:restart_window ~grace ~faults ~hedge_ms
         ~breaker_window ~on_event:print_event ~exe:served_exe
         ~worker_args:
           (worker_args ~cache_dir ~cache_max ~sched_workers ~queue_cap
@@ -217,15 +217,6 @@ let () =
       & info [ "restart-window" ] ~docv:"SECONDS"
           ~doc:"Sliding window for the restart-intensity gate.")
   in
-  let kill_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "kill-after" ] ~docv:"N"
-          ~doc:
-            "Testing hook: SIGKILL the worker that receives the Nth \
-             forwarded request (exercises mid-stream failover).")
-  in
   let grace =
     Arg.(
       value & opt float 10.0
@@ -243,6 +234,6 @@ let () =
         const serve $ socket $ workers $ served_exe $ cache_dir
         $ Cli.cache_max_entries () $ sched_workers $ queue_cap $ sessions
         $ chaos $ hedge_ms $ breaker_window $ vnodes $ max_restarts
-        $ restart_window $ kill_after $ grace)
+        $ restart_window $ grace)
   in
   exit (Cmd.eval cmd)

@@ -12,6 +12,15 @@
     operational — a centralized front door whose fault tolerance has
     to be re-earned with supervision, health probes, and failover.
 
+    {b Core and shell.} Every decision below — routing, failover,
+    breakers, hedging, the retransmit net, link chaos, the drain — is
+    {!Dispatch}'s, a pure state machine in virtual time. This module is
+    its IO shell: it owns the listener, the worker processes, their
+    stdout pipes and connections, and the counters behind {!stats}. It
+    feeds each client request, worker line, readiness, failure and
+    50 ms tick to {!Dispatch.step} and carries out the outputs; a
+    failed write to a worker goes back in as that worker's death.
+
     {b Failover.} Worker death is detected three ways: EOF/reset on
     the worker connection, EOF on its stdout pipe, and missed
     heartbeat pongs ({!Health}). A dead worker's in-flight requests
@@ -56,28 +65,25 @@
     request silent for [3 * health_timeout], so a dropped line
     degrades latency, never loses the answer. *)
 
-type event =
+type event = Dispatch.event =
   | Worker_spawned of { name : string; pid : int }
   | Worker_ready of { name : string; addr : string }
   | Worker_exited of { name : string; reason : string }
   | Worker_backoff of { name : string; delay_s : float }
   | Worker_gave_up of { name : string }
+  | Forwarded of { id : string; worker : string }
   | Rerouted of { id : string; worker : string }
-      (** a re-dispatch after its previous worker died; [id] is the
-          client's *)
-  | Killed_by_request of { name : string; nth : int }
-      (** the [kill_after] testing hook fired *)
   | Breaker_opened of { name : string }
-      (** the worker's failure rate tripped its circuit breaker *)
   | Breaker_closed of { name : string }
-      (** a half-open probe succeeded; traffic restored *)
   | Hedged of { id : string; worker : string }
-      (** a duplicate leg was dispatched to [worker]; [id] is the
-          client's *)
+(** See {!Dispatch.event}. [Rerouted] counts every re-dispatch of a
+    request with no leg left outstanding: after its worker died, and
+    also when the retransmit net re-sends a request its still-live
+    worker never answered. *)
 
 type stats = {
   forwarded : (string * int) list;  (** per worker name, sorted *)
-  rerouted : int;
+  rerouted : int;  (** [Rerouted] events *)
   restarts : int;  (** worker deaths observed (respawned or not) *)
   hedged : int;  (** duplicate legs dispatched *)
   breaker_opens : int;  (** circuit-breaker trips across the fleet *)
@@ -91,9 +97,7 @@ val start :
   ?restart_window_s:float ->
   ?health_interval:float ->
   ?health_timeout:float ->
-  ?start_timeout:float ->
   ?grace:float ->
-  ?kill_after:int ->
   ?faults:Resilience.Faults.t ->
   ?hedge_ms:int ->
   ?breaker_window:int ->
@@ -110,15 +114,14 @@ val start :
     512) feeds {!Ring.create}. [max_restarts]/[restart_window_s]
     (5 / 30 s) configure each worker's {!Resilience.Supervisor.Restarts}
     gate; [health_interval]/[health_timeout] (0.5 s / 3 s)
-    pace the heartbeats; [start_timeout] (10 s) bounds spawn-to-ready;
-    [grace] (10 s) bounds the {!stop} drain. [kill_after n] SIGKILLs
-    whichever worker receives the [n]-th forwarded request — the CI
-    crash-mid-stream hook. [faults] arms the router-side link chaos
+    pace the heartbeats; a worker gets 10 s from spawn to ready;
+    [grace] (10 s) bounds the {!stop} drain. [faults] arms the router-side link chaos
     ([link_send]/[link_recv] rules; default disabled); [hedge_ms]
     (default 0 = off) is the first-byte wait before a request is
     hedged; [breaker_window] (default 0 = off) is the per-worker
     outcome window, tripping at half failing. [on_event] runs on the
-    loop domain: keep it quick, never raise.
+    loop domain: keep it quick, never raise. [Forwarded] fires once per
+    request leg.
     @raise Unix.Unix_error if [addr] cannot be bound.
     @raise Invalid_argument if [workers < 1], [hedge_ms < 0], or
     [breaker_window < 0]. *)
@@ -139,8 +142,8 @@ val stats : t -> stats
 
 (** {1 Pure helpers}
 
-    The id-rewriting layer, exposed for direct unit testing. Both
-    return [None] when the line is not a JSON object. *)
+    {!Dispatch}'s id-rewriting layer. Both return [None] when the line
+    is not a JSON object. *)
 
 val rewrite_request_id : string -> id:string -> string option
 (** Replace the object's [id] (first field of the result). *)

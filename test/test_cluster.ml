@@ -465,50 +465,84 @@ let test_router_end_to_end () =
            0 s.Cluster.Router.forwarded))
 
 let test_router_failover_mid_stream () =
-  (* Kill a worker while requests are in flight (the kill_after hook
-     SIGKILLs the worker receiving the 3rd forwarded request) and
-     require zero lost requests: orphans re-route to the ring
-     successor, the dead worker respawns. *)
+  (* One seeded 100-request stream at conclusive depths, twice: against
+     one in-process daemon (the verdict reference), then through a
+     4-worker router whose worker receiving the 30th forwarded leg is
+     SIGKILLed by this test. Zero lost requests, zero protocol errors,
+     verdicts identical to the reference, and the death and respawn
+     really happen. *)
   let exe = served_exe () in
   let dir = temp_dir () in
+  let stream addr =
+    Service.Loadgen.run ~seed:11 ~nodes_choices:[ 2; 3 ] ~depths:[ 32; 36; 40 ]
+      ~retry_budget:3 ~mode:(Service.Loadgen.Closed_loop 8) ~requests:100
+      addr
+  in
+  let reference =
+    let server =
+      Service.Server.start ~workers:1
+        ~cache:(Portfolio.Cache.create ~dir:(Filename.concat dir "ref_cache") ())
+        (Service.Net.Unix_socket (Filename.concat dir "ref.sock"))
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Service.Server.stop server;
+        Service.Server.wait server)
+      (fun () -> stream (Service.Server.bound_addr server))
+  in
   let addr = Service.Net.Unix_socket (Filename.concat dir "router.sock") in
   let ready = Atomic.make 0 in
-  let killed = Atomic.make 0 in
-  let respawned = Atomic.make 0 in
+  let spawns = Atomic.make 0 in
+  (* Loop-domain state, touched only from [on_event]. *)
+  let pids = Hashtbl.create 8 and legs = ref 0 and victim = ref None in
+  let victim_exited = Atomic.make false in
+  let on_event = function
+    | Cluster.Router.Worker_spawned { name; pid } ->
+        Atomic.incr spawns;
+        Hashtbl.replace pids name pid
+    | Cluster.Router.Worker_ready _ -> Atomic.incr ready
+    | Cluster.Router.Forwarded { worker; _ } ->
+        incr legs;
+        if !legs = 30 then begin
+          victim := Some worker;
+          Unix.kill (Hashtbl.find pids worker) Sys.sigkill
+        end
+    | Cluster.Router.Worker_exited { name; _ } ->
+        if !victim = Some name then Atomic.set victim_exited true
+    | _ -> ()
+  in
   let router =
-    Cluster.Router.start ~kill_after:3
-      ~on_event:(function
-        | Cluster.Router.Worker_ready _ -> Atomic.incr ready
-        | Cluster.Router.Killed_by_request _ -> Atomic.incr killed
-        | Cluster.Router.Worker_backoff _ -> Atomic.incr respawned
-        | _ -> ())
-      ~exe
+    Cluster.Router.start ~on_event ~exe
       ~worker_args:
         [ "--cache-dir"; Filename.concat dir "cache"; "--workers"; "1" ]
-      ~workers:2 addr
+      ~workers:4 addr
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Cluster.Router.stop router;
-      Cluster.Router.wait router)
-    (fun () ->
-      wait_ready ~timeout_s:20.0 ~target:2 ready;
-      let report =
-        Service.Loadgen.run ~seed:5 ~nodes_choices:[ 2 ] ~depths:[ 2; 3; 4; 5 ]
-          ~configs:[ "passive"; "time-windows"; "small-shifting" ]
-          ~engines:[ "bdd" ] ~retry_budget:3
-          ~mode:(Service.Loadgen.Closed_loop 4) ~requests:16 addr
-      in
-      Alcotest.(check int) "kill hook fired" 1 (Atomic.get killed);
-      Alcotest.(check int) "zero lost requests" 16
-        report.Service.Loadgen.ok;
-      Alcotest.(check int) "no protocol errors" 0
-        report.Service.Loadgen.protocol_errors;
-      let s = Cluster.Router.stats router in
-      Alcotest.(check bool) "death observed and re-dispatch happened" true
-        (s.Cluster.Router.restarts >= 1);
-      Alcotest.(check bool) "victim scheduled for respawn" true
-        (Atomic.get respawned >= 1))
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Cluster.Router.stop router;
+        Cluster.Router.wait router)
+      (fun () ->
+        wait_ready ~timeout_s:20.0 ~target:4 ready;
+        stream addr)
+  in
+  let open Service.Loadgen in
+  Alcotest.(check (pair int int)) "reference: ok == requests == 100"
+    (100, 100) (reference.ok, reference.requests);
+  Alcotest.(check (pair int int)) "cluster: ok == requests == 100" (100, 100)
+    (r.ok, r.requests);
+  Alcotest.(check int) "cluster: protocol_errors == 0" 0 r.protocol_errors;
+  Alcotest.(check int) "reference: unknown == 0 (conclusive depths)" 0
+    reference.unknown;
+  Alcotest.(check (list int)) "holds/violated/unknown equal the reference"
+    [ reference.holds; reference.violated; reference.unknown ]
+    [ r.holds; r.violated; r.unknown ];
+  Alcotest.(check bool) "answers came from >= 2 workers" true
+    (List.length r.per_worker >= 2);
+  Alcotest.(check bool) "kill observed: the victim's Worker_exited" true
+    (Atomic.get victim_exited);
+  Alcotest.(check bool) "spawns >= workers + 1 (victim respawned)" true
+    (Atomic.get spawns >= 5)
 
 let test_router_fails_parked_when_fleet_gives_up () =
   (* A request that arrives while no worker is live parks; when the
@@ -548,6 +582,380 @@ let test_router_fails_parked_when_fleet_gives_up () =
               Alcotest.(check string) "engine_failed"
                 Service.Protocol.code_engine_failed code
           | _ -> Alcotest.fail "expected an engine_failed error response"))
+
+(* ------------------------------------------------------------------ *)
+(* The dispatch core in virtual time: [Dispatch.step] driven directly
+   by a fake fleet and a fake clock — no sockets, processes or sleeps.
+   Clients are ints; client [i]'s request id is ["c<i>"]. *)
+
+module D = Cluster.Dispatch
+module P = Service.Protocol
+
+let wire r = String.trim (P.response_line r)
+
+let answer_line qid =
+  wire
+    (P.Answer
+       {
+         id = qid;
+         verdict = P.Holds { detail = "fake" };
+         engine = "bdd";
+         cache_hit = false;
+         coalesced = false;
+         wall_ms = 1.0;
+         queue_ms = 0.0;
+         reused_session = false;
+         warm_depth = 0;
+       })
+
+let failure_line qid =
+  wire
+    (P.Error
+       { id = Some qid; code = P.code_engine_failed; reason = "fake sickness" })
+
+let line_id line = Option.get (P.request_id_of_line line)
+let client_of id = Scanf.sscanf id "c%d" Fun.id
+
+(* The fake fleet: a spawned worker is ready 10 ms later, pongs every
+   ping at once, and answers a request as [answer] says — after a
+   delay, or never. A terminated worker's owed lines are lost. *)
+type world = {
+  core : int D.t;
+  mutable clock : int;  (** 5 ms steps *)
+  mutable log : (float * int D.output) list;  (** newest first *)
+  mutable due : (float * int D.input) list;  (** owed inputs, oldest first *)
+  mutable up : string list;
+  mutable answer : string -> string -> (float * string) option;
+      (** worker -> router id -> (delay, line) *)
+}
+
+let now w = float_of_int w.clock *. 0.005
+
+let make ~workers ~hedge_ms ~breaker_window ~faults =
+  {
+    core =
+      D.create ~vnodes:64 ~max_restarts:5 ~restart_window_s:30.0
+        ~health_interval:0.5 ~health_timeout:3.0 ~grace:10.0 ~faults ~hedge_ms
+        ~breaker_window ~workers;
+    clock = 0;
+    log = [];
+    due = [];
+    up = [];
+    answer = (fun _ qid -> Some (0.1, answer_line qid));
+  }
+
+let owe w delay input = w.due <- w.due @ [ (now w +. delay, input) ]
+
+let rec feed w input = List.iter (react w) (D.step w.core ~now:(now w) input)
+
+and react w o =
+  w.log <- (now w, o) :: w.log;
+  match o with
+  | D.Spawn name ->
+      w.up <- name :: w.up;
+      owe w 0.01 (D.Ready { worker = name; addr = "fake:" ^ name })
+  | D.Terminate name -> down w name
+  | D.Send { worker; line } when List.mem worker w.up -> (
+      let id = line_id line in
+      if Cluster.Health.is_ping_id id then
+        owe w 0.0 (D.Line { worker; line = wire (P.Pong { id }) })
+      else
+        match w.answer worker id with
+        | Some (delay, line) -> owe w delay (D.Line { worker; line })
+        | None -> ())
+  | _ -> ()
+
+and down w name =
+  w.up <- List.filter (( <> ) name) w.up;
+  w.due <-
+    List.filter
+      (fun (_, i) ->
+        match i with
+        | D.Line { worker; _ } | D.Ready { worker; _ } -> worker <> name
+        | _ -> true)
+      w.due
+
+(* Client [i]'s request, [at] seconds from now; [i mod 16] picks its
+   routing key. *)
+let request w ~at i =
+  owe w at
+    (D.Request
+       {
+         client = i;
+         id = Printf.sprintf "c%d" i;
+         line = Printf.sprintf {|{"id":"c%d","config":"passive","depth":%d}|} i i;
+         key = Printf.sprintf "key-%d" (i mod 16);
+       })
+
+(* Advance to [until]: each 5 ms step feeds the inputs now due, then a
+   tick, then runs [after_step]. *)
+let run w ~until ~after_step =
+  while now w < until -. 1e-9 do
+    w.clock <- w.clock + 1;
+    let due, later =
+      List.partition (fun (at, _) -> at <= now w +. 1e-9) w.due
+    in
+    w.due <- later;
+    List.iter (fun (_, i) -> feed w i) due;
+    feed w D.Tick;
+    after_step ()
+  done
+
+let outputs w = List.rev w.log
+
+let events w =
+  List.filter_map (function at, D.Event e -> Some (at, e) | _ -> None) (outputs w)
+
+let replies w =
+  List.filter_map
+    (function
+      | _, D.Reply { client; line } ->
+          Some (client, Result.get_ok (Json.of_string line))
+      | _ -> None)
+    (outputs w)
+
+(* Request lines written to workers (pings left out). *)
+let sends w =
+  List.filter_map
+    (function
+      | at, D.Send { worker; line }
+        when not (Cluster.Health.is_ping_id (line_id line)) ->
+          Some (at, worker)
+      | _ -> None)
+    (outputs w)
+
+let forwarded w =
+  List.filter_map
+    (function at, D.Forwarded { id; worker } -> Some (at, id, worker) | _ -> None)
+    (events w)
+
+let rerouted_ids w =
+  List.filter_map (function _, D.Rerouted { id; _ } -> Some id | _ -> None) (events w)
+
+let field k j = Option.bind (Json.member k j) Json.string_value
+
+let check_one_reply_each w n =
+  let rs = replies w in
+  for i = 0 to n - 1 do
+    match List.filter (fun (c, _) -> c = i) rs with
+    | [ (_, j) ] ->
+        Alcotest.(check (option string)) "reply carries its own id"
+          (Some (Printf.sprintf "c%d" i)) (field "id" j);
+        Alcotest.(check bool) "reply names its worker" true
+          (field "worker" j <> None)
+    | l -> Alcotest.failf "client %d got %d replies" i (List.length l)
+  done;
+  Alcotest.(check int) "no other replies" n (List.length rs)
+
+let test_dispatch_kill_mid_stream () =
+  let w =
+    make ~workers:4 ~hedge_ms:0 ~breaker_window:0
+      ~faults:Resilience.Faults.disabled
+  in
+  run w ~until:0.05 ~after_step:ignore;
+  for i = 0 to 99 do
+    request w ~at:(0.01 *. float_of_int i) i
+  done;
+  (* The worker receiving the 30th request line dies right after it;
+     its orphans are the requests it still owed an answer. *)
+  let death = ref None in
+  run w ~until:3.0 ~after_step:(fun () ->
+      if !death = None && List.length (sends w) >= 30 then begin
+        let _, victim = List.nth (sends w) 29 in
+        let answered = List.map fst (replies w) in
+        let orphans =
+          List.filter_map
+            (fun (_, id, wn) ->
+              if wn = victim && not (List.mem (client_of id) answered) then
+                Some id
+              else None)
+            (forwarded w)
+        in
+        death :=
+          Some (victim, now w, List.length w.log, List.sort compare orphans);
+        down w victim;
+        feed w (D.Died { worker = victim; reason = "killed" })
+      end);
+  let victim, died_at, cut, orphans = Option.get !death in
+  check_one_reply_each w 100;
+  Alcotest.(check bool) "the death orphaned requests" true (orphans <> []);
+  Alcotest.(check (list string)) "one Rerouted per orphaned request" orphans
+    (List.sort compare (rerouted_ids w));
+  let backoff =
+    List.find_map
+      (function
+        | _, D.Worker_backoff { name; delay_s } when name = victim ->
+            Some delay_s
+        | _ -> None)
+      (events w)
+  in
+  let respawn =
+    List.find_map
+      (function
+        | at, D.Spawn n when n = victim && at > died_at -> Some at | _ -> None)
+      (outputs w)
+  in
+  (match (backoff, respawn) with
+  | Some d, Some at ->
+      Alcotest.(check bool) "respawn waits out the backoff" true
+        (at >= died_at +. d && at < died_at +. d +. 0.0051)
+  | _ -> Alcotest.fail "the victim was not respawned");
+  (* Outputs after the death, up to the victim's next ready. *)
+  let rec until_ready = function
+    | [] -> Alcotest.fail "the victim never came back"
+    | (_, D.Event (D.Worker_ready { name; _ })) :: _ when name = victim -> []
+    | o :: rest -> o :: until_ready rest
+  in
+  let after_death = List.filteri (fun i _ -> i >= cut) (outputs w) in
+  Alcotest.(check int) "no line to the victim between death and ready" 0
+    (List.length
+       (List.filter
+          (function _, D.Send { worker; _ } -> worker = victim | _ -> false)
+          (until_ready after_death)))
+
+let test_dispatch_hedge () =
+  let w =
+    make ~workers:2 ~hedge_ms:100 ~breaker_window:0
+      ~faults:Resilience.Faults.disabled
+  in
+  run w ~until:0.05 ~after_step:ignore;
+  (* The first leg's worker never answers by itself; the other answers
+     in 20 ms. *)
+  let slow = ref None and slow_qid = ref "" in
+  w.answer <-
+    (fun worker qid ->
+      if !slow = None then slow := Some worker;
+      if !slow = Some worker then (slow_qid := qid; None)
+      else Some (0.02, answer_line qid));
+  request w ~at:0.0 0;
+  run w ~until:0.5 ~after_step:ignore;
+  let slow = Option.get !slow in
+  match (sends w, replies w) with
+  | [ (t0, w0); (t1, w1) ], [ (0, j) ] ->
+      Alcotest.(check string) "first leg on the slow worker" slow w0;
+      Alcotest.(check bool) "hedge leg elsewhere" true (w1 <> slow);
+      Alcotest.(check bool) "hedged after hedge_s" true
+        (t1 -. t0 >= 0.1 && t1 -. t0 < 0.1051);
+      Alcotest.(check (list string)) "one Hedged event" [ w1 ]
+        (List.filter_map
+           (function _, D.Hedged { worker; _ } -> Some worker | _ -> None)
+           (events w));
+      Alcotest.(check (option string)) "the fast answer wins" (Some w1)
+        (field "worker" j);
+      Alcotest.(check (option bool)) "marked hedged" (Some true)
+        (Option.bind (Json.member "hedged" j) Json.bool_value);
+      Alcotest.(check int) "the loser's late answer produces no output" 0
+        (List.length
+           (D.step w.core ~now:(now w)
+              (D.Line { worker = slow; line = answer_line !slow_qid })))
+  | s, r ->
+      Alcotest.failf "expected 2 legs and 1 reply, got %d and %d"
+        (List.length s) (List.length r)
+
+let test_dispatch_dropped_send () =
+  let faults =
+    Result.get_ok (Resilience.Faults.of_spec "1:link_send=dropx1")
+  in
+  let w = make ~workers:2 ~hedge_ms:0 ~breaker_window:0 ~faults in
+  run w ~until:0.05 ~after_step:ignore;
+  request w ~at:0.0 0;
+  run w ~until:10.0 ~after_step:ignore;
+  check_one_reply_each w 1;
+  match forwarded w with
+  | [ (t0, _, w0); (t1, _, w1) ] ->
+      Alcotest.(check bool) "re-dispatched after 3 x health_timeout" true
+        (t1 -. t0 > 9.0 && t1 -. t0 < 9.0051);
+      Alcotest.(check string) "to the same, still live, worker" w0 w1;
+      Alcotest.(check (list string)) "the retransmit counts as Rerouted"
+        [ "c0" ] (rerouted_ids w);
+      Alcotest.(check int) "no worker died" 0
+        (List.length
+           (List.filter
+              (function _, D.Worker_exited _ -> true | _ -> false)
+              (events w)));
+      Alcotest.(check int) "only the second leg reached the wire" 1
+        (List.length (sends w))
+  | l -> Alcotest.failf "expected 2 legs, got %d" (List.length l)
+
+let test_dispatch_breaker () =
+  let w =
+    make ~workers:2 ~hedge_ms:0 ~breaker_window:4
+      ~faults:Resilience.Faults.disabled
+  in
+  run w ~until:0.05 ~after_step:ignore;
+  (* Every request has routing key key-0, so all belong to one shard;
+     its worker fails every request until [healed]. Window 4 trips at
+     2 failures. *)
+  let sick = ref None and healed = ref false in
+  w.answer <-
+    (fun worker qid ->
+      if !sick = None then sick := Some worker;
+      if !sick = Some worker && not !healed then Some (0.01, failure_line qid)
+      else Some (0.01, answer_line qid));
+  request w ~at:0.0 0;
+  request w ~at:0.05 16;
+  request w ~at:0.15 32;
+  run w ~until:0.3 ~after_step:ignore;
+  let sick = Option.get !sick in
+  Alcotest.(check (list string)) "two failures trip the breaker" [ sick ]
+    (List.filter_map
+       (function _, D.Breaker_opened { name } -> Some name | _ -> None)
+       (events w));
+  (* The next health pong (at ~0.52 s) moves it to half-open: one probe
+     goes to it, a request arriving while the probe is out goes around
+     it, and the probe's success closes the circuit. *)
+  healed := true;
+  request w ~at:0.3 48;
+  request w ~at:0.3 64;
+  request w ~at:0.4 80;
+  run w ~until:1.0 ~after_step:ignore;
+  let other = if sick = "w0" then "w1" else "w0" in
+  Alcotest.(check (list (pair string string)))
+    "routes: sick, sick, around, probe, around, restored"
+    [
+      ("c0", sick); ("c16", sick); ("c32", other); ("c48", sick);
+      ("c64", other); ("c80", sick);
+    ]
+    (List.map (fun (_, id, wn) -> (id, wn)) (forwarded w));
+  Alcotest.(check (list string)) "the probe closes the breaker" [ sick ]
+    (List.filter_map
+       (function _, D.Breaker_closed { name } -> Some name | _ -> None)
+       (events w));
+  Alcotest.(check int) "every request answered once" 6 (List.length (replies w))
+
+let test_dispatch_delayed_send_dies_with_its_connection () =
+  (* A request line held back 400 ms by a link delay must not be
+     written to the worker's next incarnation: the first respawn comes
+     50-75 ms after the death, and the leg has already been
+     re-dispatched by then. *)
+  let faults =
+    Result.get_ok (Resilience.Faults.of_spec "1:link_send=delay400x1")
+  in
+  let w = make ~workers:1 ~hedge_ms:0 ~breaker_window:0 ~faults in
+  run w ~until:0.05 ~after_step:ignore;
+  request w ~at:0.0 0;
+  run w ~until:0.06 ~after_step:ignore;
+  Alcotest.(check int) "the first leg is held back" 0 (List.length (sends w));
+  let died_at = now w in
+  down w "w0";
+  feed w (D.Died { worker = "w0"; reason = "killed" });
+  run w ~until:1.0 ~after_step:ignore;
+  let ready_again =
+    List.find_map
+      (function
+        | at, D.Worker_ready _ when at > died_at -> Some at | _ -> None)
+      (events w)
+    |> Option.get
+  in
+  (match sends w with
+  | [ (at, "w0") ] ->
+      Alcotest.(check bool) "the one request line is the re-dispatch" true
+        (at >= ready_again)
+  | s -> Alcotest.failf "expected 1 request line, got %d" (List.length s));
+  Alcotest.(check bool) "its due time has passed" true (now w > 0.055 +. 0.4);
+  check_one_reply_each w 1;
+  Alcotest.(check (list string)) "answered through re-dispatch" [ "c0" ]
+    (rerouted_ids w)
 
 let () =
   Alcotest.run "cluster"
@@ -603,5 +1011,18 @@ let () =
             test_router_failover_mid_stream;
           Alcotest.test_case "parked request fails once the fleet gives up"
             `Quick test_router_fails_parked_when_fleet_gives_up;
+        ] );
+      ( "dispatch",
+        [
+          Alcotest.test_case "worker killed mid-stream" `Quick
+            test_dispatch_kill_mid_stream;
+          Alcotest.test_case "hedge: first answer wins" `Quick
+            test_dispatch_hedge;
+          Alcotest.test_case "dropped send is retransmitted" `Quick
+            test_dispatch_dropped_send;
+          Alcotest.test_case "breaker trips, probes, closes" `Quick
+            test_dispatch_breaker;
+          Alcotest.test_case "delayed send dies with its connection" `Quick
+            test_dispatch_delayed_send_dies_with_its_connection;
         ] );
     ]
