@@ -698,7 +698,9 @@ let ints l = Json.List (List.map (fun n -> Json.Int n) l)
 (* ------------------------------------------------------------------ *)
 (* Guardian design-space synthesis: the Section 6 sweep, once on the
    in-process pool and once as wire traffic against an in-process
-   daemon whose session pool the sweep is meant to keep warm. *)
+   daemon whose session pool the sweep is meant to keep warm. Both
+   paths must reject, agree on every verdict and reach the same
+   non-empty frontier, the paper's. *)
 
 let section_synth () =
   (* 2-node lowerings: the sweep measures pipeline throughput and
@@ -722,6 +724,11 @@ let section_synth () =
   in
   let agree =
     Synthesis.verdict_summary direct = Synthesis.verdict_summary service
+  in
+  let frontier_keys r =
+    List.map
+      (fun p -> Synthesis.Space.candidate_key p.Synthesis.Pareto.candidate)
+      r.Synthesis.frontier
   in
   let requests = List.length service.Synthesis.outcomes in
   let reuse_rate =
@@ -764,10 +771,15 @@ let section_synth () =
     [
       ("candidates >= 200", direct.Synthesis.candidates >= 200);
       ("rejected > 0", direct.Synthesis.rejected > 0);
+      ("service rejected > 0", service.Synthesis.rejected > 0);
       ("direct envelope agreement", direct.Synthesis.envelope_agreement);
       ("service envelope agreement", service.Synthesis.envelope_agreement);
       ("paper frontier", Synthesis.paper_frontier_ok direct);
+      ("service paper frontier", Synthesis.paper_frontier_ok service);
       ("direct and service verdicts agree", agree);
+      ( "direct and service frontiers equal and non-empty",
+        frontier_keys direct = frontier_keys service
+        && frontier_keys direct <> [] );
       ("session reuse rate > 0.5", reuse_rate > 0.5);
     ] )
 
@@ -1030,7 +1042,9 @@ let section_resilience () =
    supervisor and the load generator's retry budget must get every
    request answered with the verdict counts of the same stream without
    the spec, while the retries and cache quarantines show the faults
-   actually fired. *)
+   actually fired. That fault-free reference run must itself answer
+   every request cleanly and dedup some of them (cache hits or
+   coalesced runs). *)
 
 let chaos_spec =
   "7:engine_start=crash@0.2x8,engine_step=stall30@0.1x8,\
@@ -1067,6 +1081,12 @@ let section_chaos () =
           Json.Obj (List.map (fun (rule, n) -> (rule, Json.Int n)) fired) );
       ],
     [
+      ( "reference: ok = requests = 50",
+        reference.ok = reference.requests
+        && reference.requests = chaos_requests );
+      ("reference: no protocol errors", reference.protocol_errors = 0);
+      ( "reference: cache hits + coalesced > 0",
+        reference.cache_hits + reference.coalesced > 0 );
       ("ok = requests = 50", r.ok = r.requests && r.requests = chaos_requests);
       ("no protocol errors", r.protocol_errors = 0);
       ( "verdict counts equal the fault-free reference",
@@ -1178,8 +1198,9 @@ let run_micro () =
 (* ------------------------------------------------------------------ *)
 
 (* The paper-tables run. Its checks are those of the reach and sessions
-   sections, whose tables it prints; the artifacts those sections feed
-   are their subcommands' to write. *)
+   sections, whose tables it prints, and that the BENCH_portfolio.json
+   it writes parses; the artifacts those sections feed are their
+   subcommands' to write. *)
 let paper_run paper_scale no_micro =
   let nodes = if paper_scale then 4 else 3 in
   let command =
@@ -1194,6 +1215,11 @@ let paper_run paper_scale no_micro =
      Systems\" (DSN 2004)\n";
   write_artifact ~command "BENCH_portfolio.json"
     (section5 ~nodes ~paper_scale);
+  let portfolio_parses =
+    Result.is_ok
+      (Json.of_string
+         (In_channel.with_open_bin "BENCH_portfolio.json" In_channel.input_all))
+  in
   section6 ();
   section_leaky ();
   section_sim ();
@@ -1205,7 +1231,11 @@ let paper_run paper_scale no_micro =
   let _, sessions_checks = section_sessions () in
   if not no_micro then run_micro ();
   print_newline ();
-  exit (if gate (reach_checks @ sessions_checks) then 0 else 1)
+  let checks =
+    (("BENCH_portfolio.json parses", portfolio_parses) :: reach_checks)
+    @ sessions_checks
+  in
+  exit (if gate checks then 0 else 1)
 
 let () =
   let open Cmdliner in

@@ -4,10 +4,10 @@ type t = {
   name : string;
   interval : float;
   timeout : float;
-  mutable seq : int;
-  mutable last_ping : float;  (** when the outstanding ping was sent *)
+  mutable seq : int;  (** the last probe issued *)
+  mutable floor : int;  (** probes up to here predate the last [reset] *)
+  mutable last_ping : float;  (** when the last probe was issued *)
   mutable last_seen : float;  (** last pong (or [reset]) *)
-  mutable outstanding : string option;
 }
 
 let create ?(interval = 1.0) ?(timeout = 3.0) ~now name =
@@ -18,38 +18,39 @@ let create ?(interval = 1.0) ?(timeout = 3.0) ~now name =
     interval;
     timeout;
     seq = 0;
+    floor = 0;
     last_ping = now;
     last_seen = now;
-    outstanding = None;
   }
 
-let ping_id t = Printf.sprintf "hb:%s:%d" t.name t.seq
+let prefix t = "hb:" ^ t.name ^ ":"
 
 let is_ping_id id =
   String.length id >= 3 && String.sub id 0 3 = "hb:"
 
+(* A probe every [interval], answered or not: a lost ping or pong then
+   costs one interval of evidence, not the worker. *)
 let next_ping ~now t =
-  match t.outstanding with
-  | Some _ -> None  (* one probe in flight at a time *)
-  | None ->
-      if now -. t.last_ping >= t.interval then begin
-        t.seq <- t.seq + 1;
-        t.last_ping <- now;
-        let id = ping_id t in
-        t.outstanding <- Some id;
-        Some id
-      end
-      else None
+  if now -. t.last_ping >= t.interval then begin
+    t.seq <- t.seq + 1;
+    t.last_ping <- now;
+    Some (prefix t ^ string_of_int t.seq)
+  end
+  else None
 
 let pong ~now t id =
-  if t.outstanding = Some id then begin
-    t.outstanding <- None;
-    t.last_seen <- now
-  end
+  let p = prefix t in
+  if String.starts_with ~prefix:p id then
+    match
+      int_of_string_opt
+        (String.sub id (String.length p) (String.length id - String.length p))
+    with
+    | Some n when n > t.floor && n <= t.seq -> t.last_seen <- now
+    | _ -> ()
 
 let overdue ~now t = now -. t.last_seen > t.timeout
 
 let reset ~now t =
-  t.outstanding <- None;
+  t.floor <- t.seq;
   t.last_ping <- now;
   t.last_seen <- now

@@ -24,12 +24,14 @@ val create : ?interval:float -> ?timeout:float -> now:float -> string -> t
 
 val next_ping : now:float -> t -> string option
 (** [Some id] when a probe is due: the caller must send a ping with
-    this id. At most one probe is outstanding — a second one is not
-    due until the first is answered or the worker is declared dead. *)
+    this id. A probe is due every [interval], whether or not earlier
+    ones were answered — a single lost ping or pong must not be
+    enough to declare a live worker dead. *)
 
 val pong : now:float -> t -> string -> unit
-(** An id-matching pong marks the worker seen and re-arms the probe
-    cycle; stale or foreign ids are ignored. *)
+(** A pong for any probe this tracker issued since its last {!reset}
+    marks the worker seen; ids from before the reset, never issued,
+    or of another worker are ignored. *)
 
 val overdue : now:float -> t -> bool
 (** More than [timeout] seconds since the worker was last seen. *)

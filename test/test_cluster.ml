@@ -156,25 +156,33 @@ let test_health_timing () =
   | Some id ->
       Alcotest.(check bool) "heartbeat namespace" true
         (Cluster.Health.is_ping_id id);
-      (* One probe in flight at a time. *)
-      Alcotest.(check (option string)) "no second probe" None
-        (Cluster.Health.next_ping ~now:2.5 h);
-      (* A foreign pong changes nothing. *)
+      (* An unanswered probe does not hold back the next one: the
+         first ping or its pong may be lost. *)
+      Alcotest.(check (option string)) "not due within the interval" None
+        (Cluster.Health.next_ping ~now:1.5 h);
+      let id2 = Cluster.Health.next_ping ~now:2.0 h in
+      Alcotest.(check bool) "a fresh probe while the first is unanswered" true
+        (id2 <> None && id2 <> Some id);
+      (* A never-issued id changes nothing. *)
       Cluster.Health.pong ~now:2.0 h "hb:w0:999";
-      Alcotest.(check bool) "still overdue later without the real pong" true
+      Alcotest.(check bool) "still overdue later without a real pong" true
         (Cluster.Health.overdue ~now:3.5 h);
+      (* The older probe's pong still proves life. *)
       Cluster.Health.pong ~now:2.0 h id
   | None -> Alcotest.fail "probe due at the interval");
   Alcotest.(check bool) "pong cleared the overdue clock" false
     (Cluster.Health.overdue ~now:4.9 h);
   Alcotest.(check bool) "silence past the timeout is overdue" true
     (Cluster.Health.overdue ~now:5.1 h);
-  (* After the pong the next probe re-arms off the last send. *)
-  Alcotest.(check bool) "probe cycle re-arms" true
-    (Cluster.Health.next_ping ~now:2.1 h <> None);
+  Alcotest.(check bool) "probes keep their cadence" true
+    (Cluster.Health.next_ping ~now:3.0 h <> None);
   Cluster.Health.reset ~now:10.0 h;
   Alcotest.(check bool) "reset clears overdue" false
-    (Cluster.Health.overdue ~now:12.9 h)
+    (Cluster.Health.overdue ~now:12.9 h);
+  (* A pong for a probe issued before the reset is no evidence. *)
+  Cluster.Health.pong ~now:13.0 h "hb:w0:3";
+  Alcotest.(check bool) "pre-reset pong ignored" true
+    (Cluster.Health.overdue ~now:13.1 h)
 
 let test_health_ids_distinct () =
   let h = Cluster.Health.create ~interval:0.5 ~timeout:2.0 ~now:0.0 "w7" in
@@ -464,32 +472,45 @@ let test_router_end_to_end () =
            (fun acc (_, n) -> acc + n)
            0 s.Cluster.Router.forwarded))
 
+(* One seeded 100-request stream at conclusive depths, pushed through a
+   faulty router by the failover and partition cases. *)
+let stream ~concurrency addr =
+  Service.Loadgen.run ~seed:11 ~nodes_choices:[ 2; 3 ] ~depths:[ 32; 36; 40 ]
+    ~retry_budget:3 ~mode:(Service.Loadgen.Closed_loop concurrency)
+    ~requests:100 addr
+
+(* Its verdict reference: the same stream against one in-process
+   daemon, run once for both cases. *)
+let reference =
+  lazy
+    (let dir = temp_dir () in
+     let server =
+       Service.Server.start ~workers:1
+         ~cache:(Portfolio.Cache.create ~dir:(Filename.concat dir "cache") ())
+         (Service.Net.Unix_socket (Filename.concat dir "ref.sock"))
+     in
+     let r =
+       Fun.protect
+         ~finally:(fun () ->
+           Service.Server.stop server;
+           Service.Server.wait server)
+         (fun () -> stream ~concurrency:8 (Service.Server.bound_addr server))
+     in
+     let open Service.Loadgen in
+     Alcotest.(check (pair int int)) "reference: ok == requests == 100"
+       (100, 100) (r.ok, r.requests);
+     Alcotest.(check int) "reference: unknown == 0 (conclusive depths)" 0
+       r.unknown;
+     r)
+
 let test_router_failover_mid_stream () =
-  (* One seeded 100-request stream at conclusive depths, twice: against
-     one in-process daemon (the verdict reference), then through a
-     4-worker router whose worker receiving the 30th forwarded leg is
-     SIGKILLed by this test. Zero lost requests, zero protocol errors,
-     verdicts identical to the reference, and the death and respawn
-     really happen. *)
+  (* The stream through a 4-worker router whose worker receiving the
+     30th forwarded leg is SIGKILLed by this test. Zero lost requests,
+     zero protocol errors, verdicts identical to the reference, and the
+     death and respawn really happen. *)
   let exe = served_exe () in
+  let reference = Lazy.force reference in
   let dir = temp_dir () in
-  let stream addr =
-    Service.Loadgen.run ~seed:11 ~nodes_choices:[ 2; 3 ] ~depths:[ 32; 36; 40 ]
-      ~retry_budget:3 ~mode:(Service.Loadgen.Closed_loop 8) ~requests:100
-      addr
-  in
-  let reference =
-    let server =
-      Service.Server.start ~workers:1
-        ~cache:(Portfolio.Cache.create ~dir:(Filename.concat dir "ref_cache") ())
-        (Service.Net.Unix_socket (Filename.concat dir "ref.sock"))
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Service.Server.stop server;
-        Service.Server.wait server)
-      (fun () -> stream (Service.Server.bound_addr server))
-  in
   let addr = Service.Net.Unix_socket (Filename.concat dir "router.sock") in
   let ready = Atomic.make 0 in
   let spawns = Atomic.make 0 in
@@ -524,16 +545,12 @@ let test_router_failover_mid_stream () =
         Cluster.Router.wait router)
       (fun () ->
         wait_ready ~timeout_s:20.0 ~target:4 ready;
-        stream addr)
+        stream ~concurrency:8 addr)
   in
   let open Service.Loadgen in
-  Alcotest.(check (pair int int)) "reference: ok == requests == 100"
-    (100, 100) (reference.ok, reference.requests);
   Alcotest.(check (pair int int)) "cluster: ok == requests == 100" (100, 100)
     (r.ok, r.requests);
   Alcotest.(check int) "cluster: protocol_errors == 0" 0 r.protocol_errors;
-  Alcotest.(check int) "reference: unknown == 0 (conclusive depths)" 0
-    reference.unknown;
   Alcotest.(check (list int)) "holds/violated/unknown equal the reference"
     [ reference.holds; reference.violated; reference.unknown ]
     [ r.holds; r.violated; r.unknown ];
@@ -543,6 +560,70 @@ let test_router_failover_mid_stream () =
     (Atomic.get victim_exited);
   Alcotest.(check bool) "spawns >= workers + 1 (victim respawned)" true
     (Atomic.get spawns >= 5)
+
+(* Seeded link chaos on the router's worker legs: lines lost in both
+   directions, requests, responses and heartbeats alike. *)
+let partition_spec = "11:link_recv=drop@0.08x12,link_send=drop@0.05x8"
+
+let test_router_partition () =
+  (* The stream through a 4-worker router with warm sessions, hedging
+     and breakers, whose worker links drop lines under
+     [partition_spec]. Partitions may cost latency and completeness,
+     never answers: no request lost, every conclusive verdict the
+     reference's, and the drops and hedges really happen. A 1.5 s
+     health timeout puts the retransmit net for a request whose every
+     leg was lost at 4.5 s instead of 9 s. *)
+  let exe = served_exe () in
+  let reference = Lazy.force reference in
+  let dir = temp_dir () in
+  let addr = Service.Net.Unix_socket (Filename.concat dir "router.sock") in
+  let faults = Result.get_ok (Resilience.Faults.of_spec partition_spec) in
+  let ready = Atomic.make 0 in
+  let router =
+    Cluster.Router.start ~faults ~hedge_ms:400 ~breaker_window:8
+      ~max_restarts:10 ~health_timeout:1.5
+      ~on_event:(function
+        | Cluster.Router.Worker_ready _ -> Atomic.incr ready
+        | _ -> ())
+      ~exe
+      ~worker_args:
+        [ "--cache-dir"; Filename.concat dir "cache"; "--workers"; "1";
+          "--sessions"; "--chaos"; partition_spec ]
+      ~workers:4 addr
+  in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Cluster.Router.stop router;
+        Cluster.Router.wait router)
+      (fun () ->
+        wait_ready ~timeout_s:20.0 ~target:4 ready;
+        stream ~concurrency:6 addr)
+  in
+  let open Service.Loadgen in
+  Alcotest.(check int) "protocol_errors == 0" 0 r.protocol_errors;
+  Alcotest.(check (pair int int)) "ok + degraded == requests == 100"
+    (100, 100) (r.ok + r.degraded, r.requests);
+  Alcotest.(check bool) "conclusive + degraded >= 95" true
+    (r.holds + r.violated + r.degraded >= 95);
+  Alcotest.(check int) "unknown == 0" 0 r.unknown;
+  Alcotest.(check bool) "holds <= the reference's" true
+    (r.holds <= reference.holds);
+  Alcotest.(check bool) "violated <= the reference's" true
+    (r.violated <= reference.violated);
+  if r.degraded = 0 then
+    Alcotest.(check (list int)) "no degraded: verdicts equal the reference"
+      [ reference.holds; reference.violated; reference.unknown ]
+      [ r.holds; r.violated; r.unknown ];
+  Alcotest.(check bool) "the chaos spec is armed" true
+    (Resilience.Faults.enabled faults);
+  Alcotest.(check (list string)) "both link points fired"
+    [ "link_recv.drop"; "link_send.drop" ]
+    (List.filter_map
+       (fun (rule, n) -> if n > 0 then Some rule else None)
+       (Resilience.Faults.injections faults));
+  Alcotest.(check bool) "hedged > 0" true
+    (r.hedged > 0 || (Cluster.Router.stats router).Cluster.Router.hedged > 0)
 
 let test_router_fails_parked_when_fleet_gives_up () =
   (* A request that arrives while no worker is live parks; when the
@@ -957,6 +1038,30 @@ let test_dispatch_delayed_send_dies_with_its_connection () =
   Alcotest.(check (list string)) "answered through re-dispatch" [ "c0" ]
     (rerouted_ids w)
 
+(* [partition_spec] on a fleet that never dies: lost request, response,
+   ping and pong lines may cost latency (hedges, retransmits), never an
+   answer, and never a live worker. *)
+let test_dispatch_partition () =
+  let faults = Result.get_ok (Resilience.Faults.of_spec partition_spec) in
+  let w = make ~workers:4 ~hedge_ms:400 ~breaker_window:8 ~faults in
+  run w ~until:0.05 ~after_step:ignore;
+  for i = 0 to 99 do
+    request w ~at:(0.1 *. float_of_int i) i
+  done;
+  run w ~until:40.0 ~after_step:ignore;
+  check_one_reply_each w 100;
+  Alcotest.(check (list (pair string int))) "both link points fired"
+    [ ("link_recv.drop", 12); ("link_send.drop", 8) ]
+    (Resilience.Faults.injections faults);
+  Alcotest.(check (list string)) "no live worker declared dead" []
+    (List.filter_map
+       (function
+         | _, D.Worker_exited { name; reason } -> Some (name ^ ": " ^ reason)
+         | _ -> None)
+       (events w));
+  Alcotest.(check bool) "lost lines were hedged" true
+    (List.exists (function _, D.Hedged _ -> true | _ -> false) (events w))
+
 let () =
   Alcotest.run "cluster"
     [
@@ -1009,6 +1114,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_router_end_to_end;
           Alcotest.test_case "failover mid-stream" `Quick
             test_router_failover_mid_stream;
+          Alcotest.test_case "partition mid-stream" `Quick
+            test_router_partition;
           Alcotest.test_case "parked request fails once the fleet gives up"
             `Quick test_router_fails_parked_when_fleet_gives_up;
         ] );
@@ -1024,5 +1131,7 @@ let () =
             test_dispatch_breaker;
           Alcotest.test_case "delayed send dies with its connection" `Quick
             test_dispatch_delayed_send_dies_with_its_connection;
+          Alcotest.test_case "link drops cost no answer and no worker" `Quick
+            test_dispatch_partition;
         ] );
     ]

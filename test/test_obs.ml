@@ -183,6 +183,31 @@ let test_chrome_trace_golden () =
             true (List.mem ph phases))
         [ "M"; "X"; "i"; "C" ]
 
+let test_mc_trace_file () =
+  (* The CLI's --trace path end to end: a 3-node BDD model check must
+     write a Chrome trace that parses and holds its image steps. *)
+  let file = Filename.temp_file "tta_mc_trace" ".json" in
+  let code =
+    Sys.command
+      (Filename.quote_command
+         (Filename.concat ".." (Filename.concat "bin" "tta_mc.exe"))
+         ~stdout:Filename.null
+         [ "--config"; "passive"; "--engine"; "bdd"; "--nodes"; "3";
+           "--trace"; file ])
+  in
+  let raw = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  Alcotest.(check int) "tta_mc exits 0" 0 code;
+  match Json.of_string raw with
+  | Error e -> Alcotest.failf "trace file does not parse: %s" e
+  | Ok j ->
+      Alcotest.(check bool) "traceEvents holds a reach.image span" true
+        (List.exists
+           (fun e ->
+             Option.bind (Json.member "name" e) Json.string_value
+             = Some "reach.image")
+           (Json.to_list (field "traceEvents" j)))
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry names golden: dashboards, the bench JSON consumers and the
    service metrics all key on these strings, so a rename must fail a
@@ -285,6 +310,8 @@ let () =
         [
           Alcotest.test_case "chrome trace golden" `Quick
             test_chrome_trace_golden;
+          Alcotest.test_case "tta_mc --trace writes a parseable trace" `Quick
+            test_mc_trace_file;
         ] );
       ( "names",
         [

@@ -764,6 +764,41 @@ let test_server_end_to_end () =
     (report.Service.Loadgen.p50_ms > 0.
     && report.Service.Loadgen.p99_ms >= report.Service.Loadgen.p50_ms)
 
+let test_server_warm_sessions_stream () =
+  (* Warm sessions are a pure latency optimization over the wire: one
+     seeded near-miss BMC stream against a cold daemon and against one
+     with a session pool, verdict caching off in both so every answer
+     is a real solve. Same verdicts; reuses only on the warm daemon. *)
+  let run ?sessions () =
+    let sock = Filename.concat (temp_dir ()) "tta.sock" in
+    let server =
+      Service.Server.start ~workers:2 ?sessions (Service.Net.Unix_socket sock)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Service.Server.stop server;
+        Service.Server.wait server)
+      (fun () ->
+        Service.Loadgen.run ~seed:13 ~nodes ~depths:[ 6; 8; 10; 12 ]
+          ~engines:[ "bmc" ] ~mode:(Service.Loadgen.Closed_loop 4)
+          ~requests:40
+          (Service.Server.bound_addr server))
+  in
+  let cold = run () and warm = run ~sessions:(Sessions.create ()) () in
+  let open Service.Loadgen in
+  List.iter
+    (fun (label, r) ->
+      Alcotest.(check (pair int int)) (label ^ ": ok == requests == 40")
+        (40, 40) (r.ok, r.requests);
+      Alcotest.(check int) (label ^ ": protocol_errors == 0") 0
+        r.protocol_errors)
+    [ ("cold", cold); ("warm", warm) ];
+  Alcotest.(check (list int)) "holds/violated/unknown equal"
+    [ cold.holds; cold.violated; cold.unknown ]
+    [ warm.holds; warm.violated; warm.unknown ];
+  Alcotest.(check int) "cold: session_reuses == 0" 0 cold.session_reuses;
+  Alcotest.(check bool) "warm: session_reuses > 0" true (warm.session_reuses > 0)
+
 let test_server_chaos_answers_everything () =
   (* Chaos-hardened serving, end to end: the daemon aborts the first
      two response writes (injected socket crashes) and its engines'
@@ -1172,6 +1207,8 @@ let () =
         [
           Alcotest.test_case "end to end with loadgen" `Quick
             test_server_end_to_end;
+          Alcotest.test_case "warm sessions change no verdict" `Quick
+            test_server_warm_sessions_stream;
           Alcotest.test_case "deadline-dead request degrades with content"
             `Quick test_server_degraded_deadline;
           Alcotest.test_case "loadgen books engine retries" `Quick
