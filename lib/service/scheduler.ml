@@ -79,13 +79,21 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
+(* One model value per configuration, so its memoized fingerprint is
+   computed once for the daemon's lifetime. Takes [t.lock] itself and
+   builds outside it; two submitters racing on a new configuration both
+   build, and the first insert wins. *)
 let model_of t cfg =
-  match Hashtbl.find_opt t.models cfg with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.models cfg) with
   | Some m -> m
   | None ->
       let m = Build.model cfg in
-      Hashtbl.add t.models cfg m;
-      m
+      Mutex.protect t.lock (fun () ->
+          match Hashtbl.find_opt t.models cfg with
+          | Some m -> m
+          | None ->
+              Hashtbl.add t.models cfg m;
+              m)
 
 (* The family override is part of the coalescing identity: a waiter
    must never inherit another submitter's session-routing key (its
@@ -189,14 +197,8 @@ let run_on_session t comp ~pool ~engine ~cancel =
       let verdict = r.Engine.verdict in
       (match t.cache with
       | Some c when Portfolio.conclusive verdict ->
-          let model =
-            Mutex.lock t.lock;
-            let m = model_of t comp.cfg in
-            Mutex.unlock t.lock;
-            m
-          in
-          Portfolio.Cache.store c ~model ~engine ~max_depth:comp.max_depth
-            verdict
+          Portfolio.Cache.store c ~model:(model_of t comp.cfg) ~engine
+            ~max_depth:comp.max_depth verdict
       | _ -> ());
       if attr.Sessions.reused then begin
         Mutex.lock t.lock;
@@ -371,14 +373,18 @@ let submit t ?deadline ?family ~engines ~max_depth ~callback cfg =
   if engines = [] then invalid_arg "Scheduler.submit: empty engine list";
   let dl = match deadline with None -> infinity | Some d -> d in
   let at = now () in
-  Mutex.lock t.lock;
-  if t.draining then begin
-    Mutex.unlock t.lock;
-    `Draining
-  end
+  if Mutex.protect t.lock (fun () -> t.draining) then `Draining
   else begin
+    (* The cache probe reads and checks an entry file and, on a hit,
+       draws an LRU ticket: file I/O that must not hold [t.lock], which
+       the workers need to pop and deliver. A verdict stored between
+       this probe and the [inflight] check below costs at most one
+       redundant run, never a wrong answer. *)
     let model = model_of t cfg in
-    match conclusive_cached t.cache ~model ~engines ~max_depth with
+    let cached = conclusive_cached t.cache ~model ~engines ~max_depth in
+    let ckey = ckey_of ~model ~engines ~max_depth ~family in
+    Mutex.lock t.lock;
+    match cached with
     | Some (e, v) ->
         t.s_submitted <- t.s_submitted + 1;
         t.s_cache_hits <- t.s_cache_hits + 1;
@@ -407,8 +413,11 @@ let submit t ?deadline ?family ~engines ~max_depth ~callback cfg =
             clean_depth = -1;
           };
         `Cache_hit
+    | None when t.draining ->
+        (* drain began during the probe: the workers may be gone *)
+        Mutex.unlock t.lock;
+        `Draining
     | None -> (
-        let ckey = ckey_of ~model ~engines ~max_depth ~family in
         let waiter ~joined =
           { cb = callback; wdeadline = dl; submitted_at = at; joined }
         in

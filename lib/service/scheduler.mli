@@ -14,9 +14,10 @@
 
     {b Cache.} When a warm {!Portfolio.Cache.t} is attached, it is
     consulted at admission: a conclusive cached verdict answers the
-    submission synchronously, without touching the queue. (The workers
-    also pass the cache down to {!Portfolio.race}, which stores new
-    conclusive verdicts.)
+    submission synchronously, without touching the queue. The probe's
+    file I/O runs outside the scheduler's lock, so it never stalls the
+    workers. (The workers also pass the cache down to
+    {!Portfolio.race}, which stores new conclusive verdicts.)
 
     {b Admission control.} The queue is bounded; a submission that
     finds it full is shed — {!submit} returns [`Shed] and no callback

@@ -38,12 +38,12 @@ let value_equal a b =
   | Bool x, Bool y -> x = y
   | (Int _ | Sym _ | Bool _), _ -> false
 
-let pp_value ppf = function
-  | Int i -> Format.pp_print_int ppf i
-  | Sym s -> Format.pp_print_string ppf s
-  | Bool b -> Format.pp_print_bool ppf b
+let value_to_string = function
+  | Int i -> string_of_int i
+  | Sym s -> s
+  | Bool b -> string_of_bool b
 
-let value_to_string v = Format.asprintf "%a" pp_value v
+let pp_value ppf v = Format.pp_print_string ppf (value_to_string v)
 
 (* Convenience constructors, so models read close to the paper's
    notation. The infix operators live in {!Syntax} to avoid shadowing
@@ -92,30 +92,62 @@ module Syntax = struct
   let ( <=> ) a b = Iff (a, b)
 end
 
-let rec pp ppf e =
-  let open Format in
+(* The one printer: a direct [Buffer] walk, with no [Format] in the
+   loop. Its output is flat (no break hints), fully parenthesized and
+   canonical, so [Model.fingerprint] digests it: the bytes it emits are
+   part of every cache and routing key. *)
+let rec to_buffer buf e =
+  let str = Buffer.add_string buf in
+  let bin a op b =
+    Buffer.add_char buf '(';
+    to_buffer buf a;
+    str op;
+    to_buffer buf b;
+    Buffer.add_char buf ')'
+  in
   match e with
-  | Const v -> pp_value ppf v
-  | Cur v -> pp_print_string ppf v
-  | Nxt v -> fprintf ppf "%s'" v
-  | Not a -> fprintf ppf "!(%a)" pp a
-  | And (a, b) -> fprintf ppf "(%a & %a)" pp a pp b
-  | Or (a, b) -> fprintf ppf "(%a | %a)" pp a pp b
-  | Imp (a, b) -> fprintf ppf "(%a -> %a)" pp a pp b
-  | Iff (a, b) -> fprintf ppf "(%a <-> %a)" pp a pp b
-  | Eq (a, b) -> fprintf ppf "(%a = %a)" pp a pp b
-  | Lt (a, b) -> fprintf ppf "(%a < %a)" pp a pp b
-  | Add (a, b) -> fprintf ppf "(%a + %a)" pp a pp b
-  | Sub (a, b) -> fprintf ppf "(%a - %a)" pp a pp b
-  | Ite (c, t, e) -> fprintf ppf "(%a ? %a : %a)" pp c pp t pp e
+  | Const v -> str (value_to_string v)
+  | Cur v -> str v
+  | Nxt v ->
+      str v;
+      Buffer.add_char buf '\''
+  | Not a ->
+      str "!(";
+      to_buffer buf a;
+      Buffer.add_char buf ')'
+  | And (a, b) -> bin a " & " b
+  | Or (a, b) -> bin a " | " b
+  | Imp (a, b) -> bin a " -> " b
+  | Iff (a, b) -> bin a " <-> " b
+  | Eq (a, b) -> bin a " = " b
+  | Lt (a, b) -> bin a " < " b
+  | Add (a, b) -> bin a " + " b
+  | Sub (a, b) -> bin a " - " b
+  | Ite (c, t, e) ->
+      Buffer.add_char buf '(';
+      to_buffer buf c;
+      str " ? ";
+      to_buffer buf t;
+      str " : ";
+      to_buffer buf e;
+      Buffer.add_char buf ')'
   | Member (a, vs) ->
-      fprintf ppf "(%a in {%a})" pp a
-        (pp_print_list
-           ~pp_sep:(fun ppf () -> pp_print_string ppf ", ")
-           pp_value)
-        vs
+      Buffer.add_char buf '(';
+      to_buffer buf a;
+      str " in {";
+      List.iteri
+        (fun i v ->
+          if i > 0 then str ", ";
+          str (value_to_string v))
+        vs;
+      str "})"
 
-let to_string e = Format.asprintf "%a" pp e
+let to_string e =
+  let buf = Buffer.create 64 in
+  to_buffer buf e;
+  Buffer.contents buf
+
+let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 (* Concrete evaluation, used by the explicit-state engine and by trace
    validation in the tests. [lookup_cur]/[lookup_nxt] map variable names

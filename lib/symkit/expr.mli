@@ -81,6 +81,12 @@ end
 
 (** {1 Inspection and evaluation} *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the canonical rendering: flat, fully parenthesized,
+    [x'] for primed variables. {!to_string} and {!pp} print exactly
+    these bytes, and {!Model.fingerprint} digests them, so changing
+    them re-keys every verdict cache and routing ring. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -22,21 +22,32 @@ let domain_values = function
 
 let domain_size d = List.length (domain_values d)
 
-let pp_domain ppf = function
-  | Bool -> Format.pp_print_string ppf "boolean"
-  | Range (lo, hi) -> Format.fprintf ppf "%d..%d" lo hi
+let domain_to_buffer buf = function
+  | Bool -> Buffer.add_string buf "boolean"
+  | Range (lo, hi) ->
+      Buffer.add_string buf (string_of_int lo);
+      Buffer.add_string buf "..";
+      Buffer.add_string buf (string_of_int hi)
   | Enum syms ->
-      Format.fprintf ppf "{%a}"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           Format.pp_print_string)
-        syms
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i s ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_string buf s)
+        syms;
+      Buffer.add_char buf '}'
+
+let pp_domain ppf d =
+  let buf = Buffer.create 32 in
+  domain_to_buffer buf d;
+  Format.pp_print_string ppf (Buffer.contents buf)
 
 type t = {
   name : string;
   vars : (string * domain) list;  (** declaration order fixes bit order *)
   init : Expr.t list;
   trans : Expr.t list;
+  mutable fp : string option;
 }
 
 let validate m =
@@ -71,7 +82,7 @@ let validate m =
   m
 
 let make ~name ~vars ~init ~trans =
-  validate { name; vars; init; trans }
+  validate { name; vars; init; trans; fp = None }
 
 (* A concrete state: one value per declared variable, in declaration
    order. *)
@@ -136,8 +147,13 @@ let initial_ok m s = List.for_all (fun e -> eval_pred m e s) m.init
    matters — it fixes the bit encoding) and every constraint, rendered
    canonically and digested. Two models with the same fingerprint
    denote the same transition system under the same encoding, which is
-   what the portfolio result cache keys on. *)
-let fingerprint m =
+   what the portfolio result cache keys on.
+
+   A model is immutable, so its hash is computed once and kept in [fp].
+   Two domains racing on a fresh model may both compute it; they write
+   the same string, so the race is benign. ([Lazy] would not do: in
+   OCaml 5 forcing one lazy value from two domains at once raises.) *)
+let compute_fingerprint m =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf m.name;
   Buffer.add_char buf '\n';
@@ -145,22 +161,28 @@ let fingerprint m =
     (fun (v, d) ->
       Buffer.add_string buf v;
       Buffer.add_char buf ':';
-      Buffer.add_string buf (Format.asprintf "%a" pp_domain d);
+      domain_to_buffer buf d;
       Buffer.add_char buf '\n')
     m.vars;
-  Buffer.add_string buf "init\n";
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Expr.to_string e);
-      Buffer.add_char buf '\n')
-    m.init;
-  Buffer.add_string buf "trans\n";
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Expr.to_string e);
-      Buffer.add_char buf '\n')
-    m.trans;
+  let constraints header es =
+    Buffer.add_string buf header;
+    List.iter
+      (fun e ->
+        Expr.to_buffer buf e;
+        Buffer.add_char buf '\n')
+      es
+  in
+  constraints "init\n" m.init;
+  constraints "trans\n" m.trans;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let fingerprint m =
+  match m.fp with
+  | Some fp -> fp
+  | None ->
+      let fp = compute_fingerprint m in
+      m.fp <- Some fp;
+      fp
 
 (* Total number of states in the declared state space (not necessarily
    reachable). *)

@@ -24,6 +24,12 @@ type t = private {
   vars : (string * domain) list;  (** declaration order fixes bit order *)
   init : Expr.t list;
   trans : Expr.t list;
+  mutable fp : string option;
+      (** memo of {!fingerprint}, written once by its first call; read
+          it through {!fingerprint}. A model is compared by
+          fingerprint, never with [=], [compare] or [Hashtbl.hash]:
+          this field would make those depend on whether it was
+          hashed yet. *)
 }
 
 val make :
@@ -69,7 +75,9 @@ val fingerprint : t -> string
 (** A content hash (hex digest) of the model: name, variable
     declarations in order, and every init/transition constraint. Equal
     fingerprints mean the same transition system under the same bit
-    encoding; the portfolio's persistent result cache keys on this. *)
+    encoding; the portfolio's persistent result cache keys on this.
+    Computed on the first call and memoized in the model, so every
+    later call, from any domain, is a field read. *)
 
 (** {1 Brute-force enumeration}
 

@@ -703,6 +703,100 @@ let test_bmc_session_pin () =
     ]
     (Bmc.counters b)
 
+(* Key pins. Every verdict-cache entry, consistent-hash ring slot and
+   warm-session family is named by [Model.fingerprint], which digests
+   the text [Expr.to_buffer] prints; a printer change would silently
+   re-key them all. The digests below are those the repository has
+   always produced, so existing cache directories stay valid. *)
+let test_expr_printer_goldens () =
+  let open Expr in
+  let cases =
+    [
+      (Nxt "x", "x'");
+      (Not (Cur "a"), "!(a)");
+      (Ite (Cur "c", Const (Int (-3)), Nxt "d"), "(c ? -3 : d')");
+      ( Member (Cur "m", [ Sym "idle"; Int (-2); Bool true ]),
+        "(m in {idle, -2, true})" );
+      (Member (Nxt "m", []), "(m' in {})");
+      (Const (Int (-7)), "-7");
+      (Const (Sym "cold_start"), "cold_start");
+      (Const (Bool false), "false");
+      ( Imp
+          ( And (Cur "a", Or (Cur "b", Not (Nxt "c"))),
+            Iff (Eq (Cur "x", Add (Cur "y", int 1)), Lt (Sub (Nxt "z", int 2), Cur "w"))
+          ),
+        "((a & (b | !(c'))) -> ((x = (y + 1)) <-> ((z' - 2) < w)))" );
+    ]
+  in
+  List.iter
+    (fun (e, want) ->
+      Alcotest.(check string) want want (to_string e);
+      Alcotest.(check string) ("pp " ^ want) want (Format.asprintf "%a" pp e))
+    cases;
+  Alcotest.(check (list string))
+    "value_to_string" [ "-12"; "listen"; "true" ]
+    (List.map value_to_string [ Int (-12); Sym "listen"; Bool true ]);
+  Alcotest.(check string) "pp_value" "-12"
+    (Format.asprintf "%a" pp_value (Int (-12)));
+  Alcotest.(check string) "pp_domain" "{a, b} 0..3 boolean"
+    (Format.asprintf "%a %a %a" Model.pp_domain (Model.Enum [ "a"; "b" ])
+       Model.pp_domain (Model.Range (0, 3)) Model.pp_domain Model.Bool)
+
+let test_fingerprint_goldens () =
+  let module C = Tta_model.Configs in
+  let fp cfg = Model.fingerprint (Tta_model.Build.model cfg) in
+  List.iter
+    (fun (label, cfg, want) -> Alcotest.(check string) label want (fp cfg))
+    [
+      ("2-node passive", C.passive ~nodes:2 (), "3fb0d1b546a8a283d818adf8408ccf6c");
+      ( "2-node full-shifting",
+        C.full_shifting ~nodes:2 (),
+        "8bde9b5c3da660cc8f7880ebe2bf956f" );
+      ( "3-node time-windows",
+        C.time_windows ~nodes:3 (),
+        "e5ce45d01286301e8eb5b5bcb0eec79d" );
+      ( "3-node full-shifting, no cold-start duplication",
+        C.full_shifting ~nodes:3 ~forbid_cold_start_duplication:true (),
+        "bda46e481acb1a6423e40be4b6bfdf16" );
+      ( "4-node full-shifting",
+        C.full_shifting ~nodes:4 (),
+        "3b146d2a3a86f24b4f61ef9dbd0f0539" );
+    ]
+
+(* The fingerprint is memoized in the model: a repeat call is a field
+   read, which an allocation count shows without any timing. *)
+let test_fingerprint_memo () =
+  let model = Tta_model.Build.model (Tta_model.Configs.passive ~nodes:2 ()) in
+  let first = Model.fingerprint model in
+  let w0 = Gc.minor_words () in
+  let again = Model.fingerprint model in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check string) "same digest" first again;
+  Alcotest.(check bool)
+    (Printf.sprintf "repeat call allocates < 100 words (%.0f)" words)
+    true (words < 100.)
+
+(* Domains racing on a fresh model may each compute the memo; all must
+   see the sequential digest. *)
+let test_fingerprint_race () =
+  let cfg = Tta_model.Configs.full_shifting ~nodes:3 () in
+  let want = Model.fingerprint (Tta_model.Build.model cfg) in
+  let model = Tta_model.Build.model cfg in
+  let go = Atomic.make false in
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Model.fingerprint model))
+  in
+  Atomic.set go true;
+  List.iter
+    (fun d -> Alcotest.(check string) "racing domain" want (Domain.join d))
+    domains;
+  Alcotest.(check string) "memo after the race" want (Model.fingerprint model)
+
 let suite =
   [
     Alcotest.test_case "eval basics" `Quick test_eval_basic;
@@ -739,6 +833,11 @@ let suite =
     Alcotest.test_case "bmc session search pin (full-shifting)" `Quick
       test_bmc_session_pin;
     Alcotest.test_case "smv export shape" `Quick test_smv_export_shape;
+    Alcotest.test_case "expr printer goldens" `Quick test_expr_printer_goldens;
+    Alcotest.test_case "model fingerprint goldens" `Quick
+      test_fingerprint_goldens;
+    Alcotest.test_case "fingerprint memo" `Quick test_fingerprint_memo;
+    Alcotest.test_case "fingerprint domain race" `Quick test_fingerprint_race;
   ]
   @ qtests
 
