@@ -3,7 +3,7 @@
    Examples:
      tta_portfolio                          # Section 5 matrix, all cores
      tta_portfolio --nodes 3 --domains 2    # reduced scale, two workers
-     tta_portfolio --race -c full-shifting  # race all four engines
+     tta_portfolio --race -c full-shifting  # BDD, then BMC if inconclusive
      tta_portfolio --json telemetry.json    # dump the run telemetry
      tta_portfolio --trace trace.json       # Chrome trace of every run
 
@@ -29,7 +29,7 @@ let pp_verdict ~nodes verdict =
 let run_race ~config_name ~nodes ~depth ~engines ~cache ~telemetry ~obs
     ~faults =
   let cfg =
-    (* The named constructors, not [Configs.make], so the raced
+    (* The named constructors, not [Configs.make], so the checked
        instance is exactly the Section 5 one (full-shifting carries the
        paper's one-error out-of-slot budget). *)
     match Cli.feature_set_of_config config_name with
@@ -41,8 +41,8 @@ let run_race ~config_name ~nodes ~depth ~engines ~cache ~telemetry ~obs
     | Guardian.Feature_set.Full_shifting ->
         Tta_model.Configs.full_shifting ~nodes ()
   in
-  Printf.printf "racing %s on %s (%d nodes), depth bound %d\n%!"
-    (String.concat " vs "
+  Printf.printf "trying %s on %s (%d nodes), depth bound %d\n%!"
+    (String.concat ", then "
        (List.map Tta_model.Engine.id_to_string engines))
     (Tta_model.Configs.name cfg)
     nodes depth;
@@ -63,7 +63,7 @@ let run_race ~config_name ~nodes ~depth ~engines ~cache ~telemetry ~obs
         (Portfolio.Telemetry.outcome_to_string
            (Portfolio.Telemetry.outcome_of_verdict v))
         wall
-        (if e = r.Portfolio.engine then "  <- selected (priority)"
+        (if e = r.Portfolio.engine then "  <- selected"
          else ""))
     r.Portfolio.runs;
   if r.Portfolio.cache_hit then
@@ -175,15 +175,17 @@ let () =
           [ "c"; "config"; "f"; "feature-set" ]
           ~docv:"CONFIG"
           ~doc:
-            "Race the engines on one feature set (passive, time-windows, \
-             small-shifting, full-shifting) instead of running the matrix.")
+            "Check one feature set (passive, time-windows, small-shifting, \
+             full-shifting) with the $(b,--engines) chain instead of running \
+             the matrix.")
   in
   let race =
     Arg.(
       value & flag
       & info [ "race" ]
           ~doc:
-            "Engine-racing mode (implied by $(b,--config)); defaults to \
+            "One-configuration mode (implied by $(b,--config)): try the \
+             $(b,--engines) in order until one concludes; defaults to \
              full-shifting.")
   in
   let safe_depth =

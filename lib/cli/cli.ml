@@ -23,11 +23,20 @@ let engine ?(default = "bmc") () =
           "Verification engine: bdd (reachability), bmc (SAT), induction \
            (SAT k-induction), or explicit (BFS).")
 
-let engines ?(default = "bdd,explicit,induction,bmc") () =
+let engines ?default () =
+  let default =
+    match default with
+    | Some d -> d
+    | None ->
+        String.concat ","
+          (List.map Tta_model.Engine.id_to_string Portfolio.default_engines)
+  in
   Arg.(
     value & opt string default
     & info [ "engines" ] ~docv:"LIST"
-        ~doc:"Comma-separated engines to race: bdd, bmc, induction, explicit.")
+        ~doc:
+          "Comma-separated engines to try in order until one concludes: \
+           bdd, bmc, induction, explicit.")
 
 let nodes ?(default = 4) () =
   Arg.(

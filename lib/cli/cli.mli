@@ -18,7 +18,8 @@ val engine : ?default:string -> unit -> string Cmdliner.Term.t
     [induction], [explicit], or a long name). *)
 
 val engines : ?default:string -> unit -> string Cmdliner.Term.t
-(** [--engines]: a comma-separated engine list (for racing). *)
+(** [--engines]: a comma-separated engine list, tried in order by
+    {!Portfolio.race}; defaults to {!Portfolio.default_engines}. *)
 
 val nodes : ?default:int -> unit -> int Cmdliner.Term.t
 (** [-n]/[--nodes]: cluster size (paper: 4). *)

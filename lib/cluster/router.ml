@@ -41,7 +41,6 @@ type shell = {
   exe : string;
   worker_args : string list;
   procs : (string, proc) Hashtbl.t;  (** by worker name *)
-  keys : (Tta_model.Configs.t, string) Hashtbl.t;  (** cfg -> routing key *)
   on_event : event -> unit;
   stats : stats Atomic.t;
       (** replaced by the loop domain on each counted event; read from
@@ -166,13 +165,7 @@ let watched t () =
    model land on the same worker, whose scheduler coalesces them and
    whose engines stay warm for it. Engine and depth intentionally do
    not enter the key. *)
-let routing_key t cfg =
-  match Hashtbl.find_opt t.keys cfg with
-  | Some k -> k
-  | None ->
-      let k = Symkit.Model.fingerprint (Tta_model.Build.model cfg) in
-      Hashtbl.add t.keys cfg k;
-      k
+let routing_key cfg = Symkit.Model.fingerprint (Tta_model.Build.model cfg)
 
 let on_line t client line =
   match Protocol.decode_incoming_line line with
@@ -196,7 +189,7 @@ let on_line t client line =
              client;
              id = req.Protocol.id;
              line;
-             key = routing_key t req.Protocol.cfg;
+             key = routing_key req.Protocol.cfg;
            })
 
 (* ------------------------------------------------------------------ *)
@@ -220,7 +213,6 @@ let start ?(vnodes = 512) ?(max_restarts = 5) ?(restart_window_s = 30.0)
       exe;
       worker_args;
       procs = Hashtbl.create 8;
-      keys = Hashtbl.create 16;
       on_event;
       stats =
         Atomic.make

@@ -30,7 +30,7 @@
     Three exporters: a human table, JSON-lines, and the Chrome
     [trace_event] format — load the latter in [chrome://tracing] or
     {{:https://ui.perfetto.dev}Perfetto} for a flamegraph-style view of
-    an engine race. See [doc/observability.md]. *)
+    a portfolio matrix. See [doc/observability.md]. *)
 
 type t
 (** An observability handle: either the no-op sink or a live track of a

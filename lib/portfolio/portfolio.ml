@@ -13,29 +13,11 @@ open Tta_model
 type engine = Engine.id
 type verdict = Engine.verdict
 
-let priority =
-  [ Engine.Bdd_reach; Engine.Explicit_bfs; Engine.Sat_induction;
-    Engine.Sat_bmc ]
+let default_engines = [ Engine.Bdd_reach; Engine.Sat_bmc ]
 
 let conclusive = function
   | Engine.Holds _ | Engine.Violated _ -> true
   | Engine.Unknown _ -> false
-
-(* Deterministic selection: scan the fixed priority list, never the
-   arrival order. Engines outside [priority] (impossible today) would
-   be considered last, in their arrival order, rather than dropped. *)
-let select results =
-  let by_engine e =
-    List.find_opt (fun (e', _, _) -> e' = e) results
-  in
-  let in_priority (e, _, _) = List.mem e priority in
-  let ordered =
-    List.filter_map by_engine priority
-    @ List.filter (fun r -> not (in_priority r)) results
-  in
-  match List.find_opt (fun (_, v, _) -> conclusive v) ordered with
-  | Some r -> Some r
-  | None -> ( match ordered with [] -> None | r :: _ -> Some r)
 
 type result = {
   config : Configs.t;
@@ -73,15 +55,14 @@ let detail_of = function
       Printf.sprintf "counterexample of %d steps" (Array.length trace)
 
 (* One observability track per engine run, named after the job and the
-   engine so the Chrome trace shows the race as parallel timelines. *)
+   engine. *)
 let run_track obs ~label engine =
   match obs with
   | None -> Obs.disabled
   | Some col ->
       Obs.Collector.track col (label ^ "/" ^ Engine.id_to_string engine)
 
-(* Conclusive cached verdict for any of [engines], in priority-filtered
-   order. *)
+(* Conclusive cached verdict for any of [engines], in their order. *)
 let cache_probe cache ~model ~engines ~max_depth =
   match cache with
   | None -> None
@@ -111,7 +92,7 @@ let note_cache_hit obs ~label engine =
       Obs.incr_by tr "cache.hits" 1
 
 (* ------------------------------------------------------------------ *)
-(* Engine racing *)
+(* The engine chain *)
 
 (* Engine-track counters already include the supervisor's live ticks
    when the track is enabled; merging by name keeps the supervisor's
@@ -131,7 +112,7 @@ let all_failed_detail failures =
          (fun (e, msg) -> Engine.id_to_string e ^ ": " ^ msg)
          failures)
 
-let race ?cancel ?cache ?telemetry ?obs ?label ?(engines = priority)
+let race ?cancel ?cache ?telemetry ?obs ?label ?(engines = default_engines)
     ?(max_depth = 24) ?(supervisor = Resilience.Supervisor.default)
     ?(faults = Resilience.Faults.disabled) cfg =
   if engines = [] then invalid_arg "Portfolio.race: no engines";
@@ -151,25 +132,13 @@ let race ?cancel ?cache ?telemetry ?obs ?label ?(engines = priority)
       { config = cfg; engine = e; verdict = v; wall_s; cache_hit = true;
         runs = []; failures = [] }
   | None ->
-      let flag = Atomic.make false in
-      (* Wall time at which the first conclusive verdict raised the
-         flag — written once, read by the cancelled losers to report
-         how long cancellation took to take effect. *)
-      let flag_at = Atomic.make 0.0 in
       let run_engine e =
         let track = run_track obs ~label e in
-        let observed = ref false in
-        (* [observed] records the race's own flag; [externally] the
-           caller's [?cancel] hook (a service deadline, a drain). Both
-           stop the engine; only the former feeds the latency metric,
-           whose reference point is the winner raising the flag. *)
-        let externally = ref false in
+        let fired = ref false in
         let cancel () =
-          let c = Atomic.get flag in
-          if c then observed := true;
-          let e = ext_cancel () in
-          if e then externally := true;
-          c || e
+          let c = ext_cancel () in
+          if c then fired := true;
+          c
         in
         let t0 = now () in
         let o =
@@ -179,85 +148,60 @@ let race ?cancel ?cache ?telemetry ?obs ?label ?(engines = priority)
         let wall = now () -. t0 in
         match o.Resilience.Supervisor.result with
         | Error f ->
-            (* A crashed or hung engine is a recorded failure, not a
-               race abort: the surviving racers keep running. *)
             let msg = Resilience.Supervisor.failure_to_string f in
             Obs.instant track ~args:[ ("failure", msg) ] "engine.failed";
             (e, Error msg, o.Resilience.Supervisor.counters, wall)
         | Ok r ->
             (* A cancelled BMC run reports the bounded no-counterexample
-               claim of its last completed depth; inside the race that
-               must not pass for the full-bound verdict. Proofs (BDD
-               fixpoint, k-induction, exhausted BFS) and counterexamples
-               remain sound whether or not the flag fired mid-run. *)
+               claim of its last completed depth, which must not pass
+               for the full-bound verdict. Proofs and counterexamples
+               stay sound whenever the cancel fired. *)
             let v =
               match r.Engine.verdict with
-              | Engine.Holds _
-                when (!observed || !externally) && e = Engine.Sat_bmc ->
+              | Engine.Holds _ when !fired && e = Engine.Sat_bmc ->
                   Engine.Unknown
                     { detail = "cancelled before completing the bound" }
               | v -> v
             in
-            if conclusive v then begin
-              let first = not (Atomic.exchange flag true) in
-              if first then Atomic.set flag_at (now ())
-            end;
-            if !observed then begin
-              let latency_us =
-                int_of_float ((now () -. Atomic.get flag_at) *. 1e6)
-              in
-              Obs.set_max track "race.cancel_latency_us" (max 0 latency_us);
-              Obs.instant track "race.cancelled"
-            end;
             ( e,
               Ok v,
               merge_counters r.Engine.counters
                 o.Resilience.Supervisor.counters,
               wall )
       in
-      let spawned =
-        List.map
-          (fun e -> Domain.spawn (fun () -> run_engine e))
-          (List.tl engines)
+      (* Try the engines in order: the first conclusive verdict or the
+         caller's cancel ends the chain; a recorded failure moves on. *)
+      let rec chain acc = function
+        | [] -> List.rev acc
+        | e :: rest ->
+            let ((_, outcome, _, _) as r) = run_engine e in
+            let concluded =
+              match outcome with Ok v -> conclusive v | Error _ -> false
+            in
+            if concluded || ext_cancel () then List.rev (r :: acc)
+            else chain (r :: acc) rest
       in
-      (* The head engine runs on the calling domain. Bind it before the
-         joins: [hd :: List.map Domain.join spawned] would evaluate the
-         joins first (right-to-left), so the inline engine would only
-         start after every spawned one finished — with the cancel flag
-         already raised. *)
-      let head_result = run_engine (List.hd engines) in
-      let results = head_result :: List.map Domain.join spawned in
-      let failures =
-        List.filter_map
-          (fun e ->
-            List.find_map
-              (function
-                | e', Error msg, _, _ when e' = e -> Some (e', msg)
-                | _ -> None)
-              results)
-          priority
-      in
-      (* Reorder the arrivals into priority order once; selection and
-         reporting are then independent of the finishing schedule. *)
-      let keyed =
+      let results = chain [] engines in
+      let wall_s = now () -. t0 in
+      let runs =
         List.filter_map
           (function e, Ok v, _, w -> Some (e, v, w) | _, Error _, _, _ -> None)
           results
       in
-      let winner_e, winner_v, winner_wall =
-        match select keyed with
-        | Some r -> r
-        | None ->
-            (* Every engine failed: degrade to an explicit Unknown that
-               names each failure, attributed to the highest-priority
-               engine that was asked. *)
-            let e =
-              match List.find_opt (fun e -> List.mem e engines) priority with
-              | Some e -> e
-              | None -> List.hd engines
-            in
-            (e, Engine.Unknown { detail = all_failed_detail failures },
-             now () -. t0)
+      let failures =
+        List.filter_map
+          (function e, Error msg, _, _ -> Some (e, msg) | _, Ok _, _, _ -> None)
+          results
+      in
+      (* The chain stopped at its conclusive verdict, if any; otherwise
+         the first inconclusive one stands, and when every engine
+         failed, an Unknown that names each failure. *)
+      let winner_e, winner_v =
+        match (List.find_opt (fun (_, v, _) -> conclusive v) runs, runs) with
+        | Some (e, v, _), _ | None, (e, v, _) :: _ -> (e, v)
+        | None, [] ->
+            ( List.hd engines,
+              Engine.Unknown { detail = all_failed_detail failures } )
       in
       cache_store cache ~model ~engine:winner_e ~max_depth winner_v;
       List.iter
@@ -269,23 +213,13 @@ let race ?cancel ?cache ?telemetry ?obs ?label ?(engines = priority)
           in
           add_telemetry telemetry ~label ~engine:e ~verdict:v
             ~detail:(detail_of v) ~wall_s:wall ~cache_hit:false
-            ~winner:(e = winner_e && keyed <> []) ~counters)
+            ~winner:(e = winner_e && runs <> []) ~counters)
         results;
-      let runs =
-        List.filter_map
-          (fun e ->
-            List.find_map
-              (function
-                | e', Ok v, _, w when e' = e -> Some (e', v, w)
-                | _ -> None)
-              results)
-          priority
-      in
       {
         config = cfg;
         engine = winner_e;
         verdict = winner_v;
-        wall_s = winner_wall;
+        wall_s;
         cache_hit = false;
         runs;
         failures;
@@ -305,57 +239,12 @@ let job ?label ?engine ?(max_depth = 100) cfg =
   let label = match label with Some l -> l | None -> Configs.name cfg in
   { label; cfg; engine; max_depth }
 
-let run_single ?cache ?telemetry ?obs ?(faults = Resilience.Faults.disabled)
-    ~label ~engine ~max_depth cfg =
-  let model = Build.model cfg in
-  let t0 = now () in
-  match cache_probe cache ~model ~engines:[ engine ] ~max_depth with
-  | Some (e, v) ->
-      let wall_s = now () -. t0 in
-      note_cache_hit obs ~label e;
-      add_telemetry telemetry ~label ~engine:e ~verdict:v
-        ~detail:(detail_of v) ~wall_s ~cache_hit:true ~winner:true
-        ~counters:[];
-      { config = cfg; engine = e; verdict = v; wall_s; cache_hit = true;
-        runs = []; failures = [] }
-  | None ->
-      let track = run_track obs ~label engine in
-      let o =
-        Resilience.Supervisor.run ~faults ~obs:track ~max_depth
-          (Engine.get engine) cfg
-      in
-      let wall_s = now () -. t0 in
-      let v, counters, failures =
-        match o.Resilience.Supervisor.result with
-        | Ok r ->
-            ( r.Engine.verdict,
-              merge_counters r.Engine.counters o.Resilience.Supervisor.counters,
-              [] )
-        | Error f ->
-            let msg = Resilience.Supervisor.failure_to_string f in
-            Obs.instant track ~args:[ ("failure", msg) ] "engine.failed";
-            ( Engine.Unknown { detail = "engine failed: " ^ msg },
-              o.Resilience.Supervisor.counters,
-              [ (engine, msg) ] )
-      in
-      cache_store cache ~model ~engine ~max_depth v;
-      add_telemetry telemetry ~label ~engine ~verdict:v ~detail:(detail_of v)
-        ~wall_s ~cache_hit:false ~winner:(failures = []) ~counters;
-      { config = cfg; engine; verdict = v; wall_s; cache_hit = false;
-        runs = (if failures = [] then [ (engine, v, wall_s) ] else []);
-        failures }
-
 let run_matrix ?domains ?cache ?telemetry ?obs ?faults jobs =
   let run j =
-    match j.engine with
-    | Some engine ->
-        ( j,
-          run_single ?cache ?telemetry ?obs ?faults ~label:j.label
-            ~engine ~max_depth:j.max_depth j.cfg )
-    | None ->
-        ( j,
-          race ?cache ?telemetry ?obs ?faults ~label:j.label
-            ~max_depth:j.max_depth j.cfg )
+    ( j,
+      race ?cache ?telemetry ?obs ?faults ~label:j.label
+        ?engines:(Option.map (fun e -> [ e ]) j.engine)
+        ~max_depth:j.max_depth j.cfg )
   in
   let pool_obs =
     match obs with
@@ -371,7 +260,7 @@ let run_matrix ?domains ?cache ?telemetry ?obs ?faults jobs =
       | Error exn ->
           let msg = "task failed: " ^ Printexc.to_string exn in
           let engine =
-            match j.engine with Some e -> e | None -> List.hd priority
+            match j.engine with Some e -> e | None -> List.hd default_engines
           in
           ( j,
             {

@@ -1,17 +1,13 @@
-(** Multicore portfolio verification over the paper's configuration
-    matrix.
+(** Portfolio verification over the paper's configuration matrix.
 
-    Two levels of parallelism on OCaml 5 domains:
-
-    - {b engine racing} ({!race}): for a single configuration, the
-      complementary engines — BDD fixpoint reachability, SAT BMC, SAT
-      k-induction, explicit-state BFS — run as competing workers. The
-      first conclusive verdict raises a shared atomic flag; the losers
-      poll it inside their main loops (the [?cancel] hooks of
-      {!Symkit.Reach}/{!Symkit.Bmc}/{!Symkit.Induction}/
-      {!Symkit.Explicit}) and stop cooperatively. No engine dominates
-      across safe and unsafe instances, so the race's wall clock is the
-      best engine's, not the chosen one's.
+    - {b the engine chain} ({!race}): for a single configuration, the
+      requested engines run one at a time on the calling domain, in
+      the order given, until one reaches a conclusive verdict. The
+      default chain is BDD fixpoint reachability, which proves and
+      refutes with shortest traces, then SAT BMC, which answers the
+      rows whose fixpoint lies beyond the bound. Explicit BFS and
+      k-induction answered no committed row first, so they run only
+      when asked for by name.
     - {b matrix fan-out} ({!run_matrix}): a batch of configurations is
       drained by a work-stealing {!Pool} across
       [Domain.recommended_domain_count ()] workers.
@@ -21,16 +17,12 @@
     [?obs] {!Obs.Collector} additionally streams every engine run's
     spans and counters onto its own collector track (named
     ["<label>/<engine>"]) plus a ["pool"] track for the scheduler —
-    export it as a Chrome trace to see a race or a whole matrix as
-    parallel timelines (see doc/observability.md).
+    export it as a Chrome trace to see a chain or a whole matrix as
+    timelines (see doc/observability.md).
 
-    {b Determinism.} Verdict selection is by the fixed engine
-    {!priority}, never by arrival order: when several racers finish
-    conclusively near-simultaneously, the reported winner — hence the
-    reported proof detail and counterexample — is the highest-priority
-    one. All engines are sound and produce minimal-length
-    counterexamples on this model family, so the selected verdict is
-    reproducible across runs. *)
+    {b Determinism.} The chain's order is the list's, so the engine
+    that answers, its proof detail and its counterexample are the same
+    run to run. *)
 
 (** The sibling modules, re-exported (this module shadows the library
     wrapper): *)
@@ -43,35 +35,48 @@ module Telemetry = Telemetry
 type engine = Tta_model.Engine.id
 type verdict = Tta_model.Engine.verdict
 
-val priority : engine list
-(** The fixed tie-breaking order: BDD reachability (proves {e and}
-    refutes with shortest traces), explicit BFS (exhaustive, minimal
-    traces), k-induction (unbounded proofs), SAT BMC (bounded). *)
+val default_engines : engine list
+(** The default chain, [[Bdd_reach; Sat_bmc]]: what {!race} runs without
+    [?engines], what a wire request without an [engine] (or with
+    ["race"]) asks for, and what a {!job} without an engine runs. *)
 
 val conclusive : verdict -> bool
 (** [Holds]/[Violated] are conclusive; [Unknown] is not. *)
 
-val select : (engine * verdict * 'a) list -> (engine * verdict * 'a) option
-(** Deterministic winner selection, exposed for the regression test:
-    the highest-{!priority} conclusive entry, else the
-    highest-priority entry of any kind; [None] on the empty list. The
-    input order (= arrival order) never influences the choice. *)
+val cache_probe :
+  Cache.t option ->
+  model:Symkit.Model.t ->
+  engines:engine list ->
+  max_depth:int ->
+  (engine * verdict) option
+(** The first of [engines], in order, with a conclusive cached verdict
+    for [model] at [max_depth]; [None] without a cache. *)
+
+val cache_store :
+  Cache.t option ->
+  model:Symkit.Model.t ->
+  engine:engine ->
+  max_depth:int ->
+  verdict ->
+  unit
+(** Store a conclusive verdict; an [Unknown], or no cache, stores
+    nothing. *)
 
 type result = {
   config : Tta_model.Configs.t;
   engine : engine;  (** the engine whose verdict was selected *)
   verdict : verdict;
-  wall_s : float;  (** the winner's wall clock (~0 on a cache hit) *)
+  wall_s : float;  (** the chain's wall clock (~0 on a cache hit) *)
   cache_hit : bool;
   runs : (engine * verdict * float) list;
-      (** every {e completed} engine run of a race in priority order
-          (empty on a cache hit or single-engine job; failed engines
-          appear in [failures] instead) *)
+      (** every {e completed} engine run, in the order tried, with its
+          wall clock (empty on a cache hit; failed engines appear in
+          [failures] instead) *)
   failures : (engine * string) list;
-      (** engines whose supervised run crashed or hung, in priority
-          order, with the supervisor's failure description. When {e
-          every} engine failed, [verdict] is an [Unknown] whose detail
-          carries this breakdown. *)
+      (** engines whose supervised run crashed, in the order tried,
+          with the supervisor's failure description. When {e every}
+          engine failed, [verdict] is an [Unknown] whose detail carries
+          this breakdown. *)
 }
 
 val all_failed : result -> bool
@@ -91,31 +96,30 @@ val race :
   ?faults:Resilience.Faults.t ->
   Tta_model.Configs.t ->
   result
-(** Race [engines] (default: all of {!priority}) on one configuration,
-    one domain per engine. A conclusive cached verdict short-circuits
-    the race entirely (recorded as a [cache.hit] instant on [obs]).
-    Each racer writes to its own [obs] track; cancelled losers
-    additionally report [race.cancel_latency_us] — the time from the
-    winner raising the flag to the loser actually returning.
+(** Run the chain [engines] (default {!default_engines}) on one
+    configuration, one engine at a time on the calling domain. A
+    conclusive cached verdict for any of them answers without a run
+    (recorded as a [cache.hit] instant on [obs]). Otherwise each engine
+    runs in turn, on its own [obs] track, and the chain stops at the
+    first conclusive verdict, which is cached. When none concludes, the
+    first completed run's inconclusive verdict is reported.
 
-    Every racer runs under a {!Resilience.Supervisor} with [supervisor]
+    Every engine runs under a {!Resilience.Supervisor} with [supervisor]
     (default {!Resilience.Supervisor.default}): an engine that crashes
     is retried per the policy and, if it keeps failing, becomes an
-    entry in [result.failures] while the surviving racers continue.
-    Only when {e all} engines fail does the race degrade to an
-    [Unknown] verdict carrying the per-engine failure breakdown.
-    [faults] (default {!Resilience.Faults.disabled}) threads fault
-    injection into every racer and is what the [--chaos] CLI flag
+    entry in [result.failures] while the chain moves on to the next
+    engine. Only when {e all} engines fail is the verdict an [Unknown]
+    carrying the per-engine failure breakdown, attributed to the first
+    engine. [faults] (default {!Resilience.Faults.disabled}) threads
+    fault injection into every run and is what the [--chaos] CLI flag
     plugs in.
 
-    [cancel] is an {e external} cooperative-cancellation hook, OR-ed
-    into every racer's own hook — the serving layer uses it for
-    per-request deadlines and drain. When it fires before any engine
-    concluded, the race returns the priority-first inconclusive
-    verdict (a BMC partial bound is demoted to [Unknown], exactly as
-    for an internal cancellation), and nothing is cached. With a
-    single engine the race degenerates to one cancellable run on the
-    calling domain — the serving layer's single-engine path.
+    [cancel] is a cooperative-cancellation hook polled by the running
+    engine — the serving layer uses it for per-request deadlines and
+    drain. Once it fires the chain ends after the current engine; a
+    BMC bound cut short by it is demoted to [Unknown], and nothing
+    inconclusive is cached. The name is kept from the earlier engine
+    race, as are the wire's ["race"] and [tta_portfolio --race].
     @raise Invalid_argument on an empty engine list. *)
 
 (** {1 Matrix fan-out} *)
@@ -124,7 +128,8 @@ type job = {
   label : string;
   cfg : Tta_model.Configs.t;
   engine : engine option;  (** [Some e]: run exactly [e] (the sequential
-      baseline's engine, so verdicts are comparable); [None]: race *)
+      baseline's engine, so verdicts are comparable); [None]: the
+      {!default_engines} chain *)
   max_depth : int;
 }
 
@@ -143,10 +148,9 @@ val run_matrix :
   (job * result) list
 (** Drain the jobs across a work-stealing pool of [domains] workers
     (default [Domain.recommended_domain_count ()]); results in job
-    order. Racing jobs spawn their engine domains {e in addition} to
-    the pool workers — use single-engine jobs when the matrix is wide
-    and racing when it is deep. [faults] applies to every job as in
-    {!race}, under {!Resilience.Supervisor.default}; a job whose task
+    order; each job runs its chain on its pool worker. [faults]
+    applies to every job as in {!race}, under
+    {!Resilience.Supervisor.default}; a job whose task
     raised outside the supervised engine (infrastructure, not
     verification) still yields a result — an [Unknown] with the
     exception recorded in [failures]. *)

@@ -41,7 +41,8 @@ type summary = {
   unknown : int;  (** outcome counts over winner records *)
   cache_hits : int;
   total_wall_s : float;  (** summed over winner records: the cost of the
-                             matrix as scheduled, excluding losing racers *)
+                             matrix as scheduled, excluding the inconclusive
+                             runs a chain passed through *)
   total_run_wall_s : float;  (** summed over all records *)
   max_wall_s : float;
 }

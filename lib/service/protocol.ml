@@ -69,6 +69,12 @@ let config_of ~feature ~nodes ~forbid =
       Tta_model.Configs.full_shifting ?nodes
         ?forbid_cold_start_duplication:forbid ()
 
+(* The model is built (and fingerprinted) on the daemon's and the
+   router's select loops, and kept for the life of the process; its
+   cost grows steeply with the cluster size (tens of milliseconds at 8
+   nodes, about 10 s at 64), so the wire bounds it. *)
+let max_nodes = 8
+
 let decode_request j =
   match j with
   | Json.Obj _ ->
@@ -82,13 +88,15 @@ let decode_request j =
       let* nodes = optional_int "nodes" j in
       let* () =
         match nodes with
-        | Some n when n < 2 -> Error "field \"nodes\" must be at least 2"
+        | Some n when n < 2 || n > max_nodes ->
+            Error
+              (Printf.sprintf "field \"nodes\" must be between 2 and %d"
+                 max_nodes)
         | _ -> Ok ()
       in
       let* engines =
         match Option.bind (field "engine" j) Json.string_value with
-        | None | Some "race" ->
-            Ok (List.map (fun e -> e.Tta_model.Engine.id) Tta_model.Engine.all)
+        | None | Some "race" -> Ok Portfolio.default_engines
         | Some s -> (
             match Tta_model.Engine.id_of_string s with
             | Some e -> Ok [ e ]

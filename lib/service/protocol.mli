@@ -9,8 +9,10 @@
 {"id":"r1","config":"full-shifting","nodes":4,"engine":"bdd",
  "depth":24,"deadline_ms":5000}
     v}
-    [id] and [config] are required; [engine] is a single engine name or
-    ["race"] (the default) for the whole portfolio; [depth] defaults to
+    [id] and [config] are required; [nodes] is 2 to 8 (a larger
+    cluster's model takes too long to build on the select loop);
+    [engine] is a single engine name or ["race"] (the default) for the
+    {!Portfolio.default_engines} chain; [depth] defaults to
     24; [deadline_ms], when present, bounds the request's wall clock —
     an inconclusive answer past the deadline reports
     [reason:"deadline_exceeded"]. [forbid_cold_start_duplication]
@@ -62,8 +64,8 @@ type request = {
   id : string;
   cfg : Tta_model.Configs.t;
   engines : Tta_model.Engine.id list;
-      (** singleton for a named engine; the full portfolio for
-          ["race"] *)
+      (** singleton for a named engine; {!Portfolio.default_engines}
+          for ["race"] or no [engine] *)
   max_depth : int;
   deadline_ms : int option;
   family : string option;

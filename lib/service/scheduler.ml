@@ -44,7 +44,6 @@ type t = {
   inflight : (string, comp) Hashtbl.t;
       (** every accepted computation, queued or running — the
           coalescing window spans the whole run *)
-  models : (Configs.t, Symkit.Model.t) Hashtbl.t;
   cache : Portfolio.Cache.t option;
   sessions : Sessions.t option;
   supervisor : Resilience.Supervisor.policy;
@@ -79,22 +78,6 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
-(* One model value per configuration, so its memoized fingerprint is
-   computed once for the daemon's lifetime. Takes [t.lock] itself and
-   builds outside it; two submitters racing on a new configuration both
-   build, and the first insert wins. *)
-let model_of t cfg =
-  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.models cfg) with
-  | Some m -> m
-  | None ->
-      let m = Build.model cfg in
-      Mutex.protect t.lock (fun () ->
-          match Hashtbl.find_opt t.models cfg with
-          | Some m -> m
-          | None ->
-              Hashtbl.add t.models cfg m;
-              m)
-
 (* The family override is part of the coalescing identity: a waiter
    must never inherit another submitter's session-routing key (its
    attribution — and session bucket — would come from the other
@@ -107,17 +90,6 @@ let ckey_of ~model ~engines ~max_depth ~family =
          engines)
   in
   match family with None -> base | Some f -> base ^ "@" ^ f
-
-let conclusive_cached cache ~model ~engines ~max_depth =
-  match cache with
-  | None -> None
-  | Some c ->
-      List.find_map
-        (fun e ->
-          match Portfolio.Cache.lookup c ~model ~engine:e ~max_depth with
-          | Some v when Portfolio.conclusive v -> Some (e, v)
-          | _ -> None)
-        engines
 
 (* ------------------------------------------------------------------ *)
 (* Workers *)
@@ -174,15 +146,15 @@ let skip_result comp detail =
 
 (* A request is session-eligible when a pool is attached and it asks
    for exactly one SAT-backed engine: the warm-session fast path is an
-   alternative to the engine race, not a racer inside it. *)
+   alternative to the portfolio chain, not a link inside it. *)
 let session_engine t comp =
   match (t.sessions, comp.engines) with
   | Some pool, [ ((Engine.Sat_bmc | Engine.Sat_induction) as e) ] ->
       Some (pool, e)
   | _ -> None
 
-(* Run the request on a warm session of its family instead of racing a
-   cold portfolio, under the same supervision policy and fault hooks
+(* Run the request on a warm session of its family instead of a cold
+   portfolio chain, under the same supervision policy and fault hooks
    as the portfolio path. Conclusive verdicts still feed the shared
    cache, so session-path answers are visible to later cache
    lookups. *)
@@ -195,11 +167,8 @@ let run_on_session t comp ~pool ~engine ~cancel =
   | r, attr ->
       let wall_s = now () -. t0 in
       let verdict = r.Engine.verdict in
-      (match t.cache with
-      | Some c when Portfolio.conclusive verdict ->
-          Portfolio.Cache.store c ~model:(model_of t comp.cfg) ~engine
-            ~max_depth:comp.max_depth verdict
-      | _ -> ());
+      Portfolio.cache_store t.cache ~model:(Build.model comp.cfg) ~engine
+        ~max_depth:comp.max_depth verdict;
       if attr.Sessions.reused then begin
         Mutex.lock t.lock;
         t.s_session_reuses <- t.s_session_reuses + 1;
@@ -334,7 +303,6 @@ let create ?workers ?(queue_cap = 64) ?cache ?sessions ?obs
       queue = Queue.create ();
       queue_cap;
       inflight = Hashtbl.create 64;
-      models = Hashtbl.create 16;
       cache;
       sessions;
       supervisor;
@@ -380,8 +348,8 @@ let submit t ?deadline ?family ~engines ~max_depth ~callback cfg =
        the workers need to pop and deliver. A verdict stored between
        this probe and the [inflight] check below costs at most one
        redundant run, never a wrong answer. *)
-    let model = model_of t cfg in
-    let cached = conclusive_cached t.cache ~model ~engines ~max_depth in
+    let model = Build.model cfg in
+    let cached = Portfolio.cache_probe t.cache ~model ~engines ~max_depth in
     let ckey = ckey_of ~model ~engines ~max_depth ~family in
     Mutex.lock t.lock;
     match cached with

@@ -27,7 +27,7 @@
     {b Deadlines.} A submission may carry an absolute deadline. The
     computation's effective deadline is the {e latest} over its
     waiters (a waiter without one makes the computation unbounded);
-    the worker polls it through the race's [?cancel] hook, so an
+    the worker polls it through the chain's [?cancel] hook, so an
     expired computation stops cooperatively.
 
     {b Warm sessions.} With a {!Sessions.t} pool attached, a request
@@ -42,7 +42,7 @@
     [faults] hooks (retries restart on a fresh session); exhausted
     retries are answered as a recorded failure that the protocol layer
     turns into [engine_failed].
-    Multi-engine races and BDD-backed engines take the cold path as
+    Multi-engine chains and BDD-backed engines take the cold path as
     before. A computation whose
     deadline has already passed when a worker picks it up is skipped —
     no engine runs. Conclusive verdicts are always delivered, even to

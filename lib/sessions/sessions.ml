@@ -236,7 +236,7 @@ let run t ~engine ?cancel ?obs ?family ?supervisor ?faults ~max_depth cfg =
                 | Bmc.No_counterexample (Some d) ->
                     (* Cancelled mid-scan: the bounded claim stops short
                        of the requested bound — demoted exactly as the
-                       portfolio demotes a cancelled BMC racer. *)
+                       portfolio demotes a cancelled BMC run. *)
                     Engine.Unknown
                       {
                         detail =

@@ -75,7 +75,7 @@ let var_order_strategies (cfg : Configs.t) =
      field_major @ coupler_vars @ budget);
   ]
 
-let model (cfg : Configs.t) : Model.t =
+let build (cfg : Configs.t) : Model.t =
   let n = cfg.nodes in
   let node_ids = List.init n (fun i -> i + 1) in
   let open Expr in
@@ -455,3 +455,24 @@ let model (cfg : Configs.t) : Model.t =
     @ List.map Expr.prime invariants
   in
   Model.make ~name:(Configs.name cfg) ~vars ~init ~trans
+
+(* One model value per configuration for the life of the process, so
+   every layer that asks about a configuration — the engines, the
+   portfolio, the scheduler, the sessions, the router — shares it and
+   its memoized fingerprint. The build runs outside the lock: two
+   domains racing on a new configuration may both build, the first
+   insert wins and both return it. *)
+let memo : (Configs.t, Model.t) Hashtbl.t = Hashtbl.create 16
+let memo_lock = Mutex.create ()
+
+let model cfg =
+  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo cfg) with
+  | Some m -> m
+  | None ->
+      let m = build cfg in
+      Mutex.protect memo_lock (fun () ->
+          match Hashtbl.find_opt memo cfg with
+          | Some m -> m
+          | None ->
+              Hashtbl.add memo cfg m;
+              m)

@@ -24,7 +24,11 @@ val frame_types : string list
     bad_frame, other. *)
 
 val model : Configs.t -> Symkit.Model.t
-(** Build the full symbolic model for a configuration. *)
+(** The full symbolic model for a configuration. Built once per
+    configuration and kept for the life of the process: structurally
+    equal configurations get the physically equal model, so its
+    memoized {!Symkit.Model.fingerprint} is computed once for every
+    caller. Safe to call from several domains. *)
 
 val var_order_strategies : Configs.t -> (string * string list) list
 (** Named BDD variable-order strategies (each a permutation of the

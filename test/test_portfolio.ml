@@ -1,8 +1,8 @@
 (* Tests for the portfolio engine: the JSON codec, the work-stealing
    pool, the persistent verdict cache (hit/miss/invalidation), engine
-   cancellation, deterministic winner selection, and an end-to-end
-   matrix run checked verdict-for-verdict against the sequential
-   runner. 2-node clusters throughout, as in test_tta_model. *)
+   cancellation, the engine chain's order and stopping rule, and an
+   end-to-end matrix run checked verdict-for-verdict against the
+   sequential runner. 2-node clusters throughout, as in test_tta_model. *)
 
 module Engine = Tta_model.Engine
 module Configs = Tta_model.Configs
@@ -379,31 +379,10 @@ let test_cancel_stops_engines () =
     [ Engine.Bdd_reach; Engine.Explicit_bfs; Engine.Sat_induction;
       Engine.Sat_bmc ]
 
-let test_race_cancels_losers () =
-  (* BDD proves the passive configuration in well under a second; the
-     race must come back with that proof long before the explicit
-     engine's exhaustive search would finish on its own. *)
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Portfolio.race
-      ~engines:[ Engine.Bdd_reach; Engine.Explicit_bfs ]
-      ~max_depth:100
-      (Configs.passive ~nodes ())
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check string) "bdd wins" "bdd-reachability"
-    (Engine.id_to_string r.Portfolio.engine);
-  Alcotest.(check string) "proof verdict" "holds"
-    (verdict_kind r.Portfolio.verdict);
-  Alcotest.(check int) "both engines reported" 2
-    (List.length r.Portfolio.runs);
-  Alcotest.(check bool) "race returned promptly" true (dt < 30.0)
-
 let test_race_external_cancel () =
-  (* The serving layer's hook: with [?cancel] permanently raised, a
-     race over every engine must come back inconclusive quickly — and
-     a cancelled BMC partial bound must be demoted to Unknown exactly
-     as for an internal cancellation. *)
+  (* The serving layer's hook: with [?cancel] permanently raised, the
+     default chain must come back inconclusive quickly, after its first
+     engine only, and report that engine's verdict. *)
   let t0 = Unix.gettimeofday () in
   let r =
     Portfolio.race
@@ -416,58 +395,72 @@ let test_race_external_cancel () =
     (dt < 10.0);
   Alcotest.(check string) "no verdict claimed" "unknown"
     (verdict_kind r.Portfolio.verdict);
-  List.iter
-    (fun (e, v, _) ->
-      Alcotest.(check string)
-        (Engine.id_to_string e ^ " inconclusive")
-        "unknown" (verdict_kind v))
-    r.Portfolio.runs
+  Alcotest.(check (list string)) "the cancel ends the chain after one run"
+    [ "bdd-reachability:unknown" ]
+    (List.map
+       (fun (e, v, _) -> Engine.id_to_string e ^ ":" ^ verdict_kind v)
+       r.Portfolio.runs);
+  Alcotest.(check string) "the first engine's verdict is reported"
+    "bdd-reachability"
+    (Engine.id_to_string r.Portfolio.engine)
+
+(* A cancelled BMC bound is demoted: started alone under a raised
+   cancel, BMC's vacuous depth -1 claim must not come back as Holds. *)
+let test_race_demotes_cancelled_bmc () =
+  let r =
+    Portfolio.race
+      ~cancel:(fun () -> true)
+      ~engines:[ Engine.Sat_bmc ] ~max_depth:100
+      (Configs.full_shifting ~nodes ())
+  in
+  Alcotest.(check string) "demoted to unknown" "unknown"
+    (verdict_kind r.Portfolio.verdict)
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic selection *)
+(* The engine chain *)
 
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-      List.concat_map
-        (fun x ->
-          let rest = List.filter (fun y -> y != x) l in
-          List.map (fun p -> x :: p) (permutations rest))
-        l
+let run_kinds (r : Portfolio.result) =
+  List.map
+    (fun (e, v, _) -> Engine.id_to_string e ^ ":" ^ verdict_kind v)
+    r.Portfolio.runs
 
-let test_select_priority_over_arrival () =
-  let holds = Engine.Holds { detail = "proved" } in
-  let unknown = Engine.Unknown { detail = "cancelled" } in
-  let model = Tta_model.Build.model (Configs.passive ~nodes ()) in
-  let violated = Engine.Violated { trace = [||]; model } in
-  (* Two conclusive results: whatever order they arrive in, the
-     higher-priority engine (explicit-bfs over sat-bmc) is selected. *)
-  let results =
-    [ (Engine.Sat_bmc, violated, 0.1); (Engine.Explicit_bfs, holds, 5.0);
-      (Engine.Bdd_reach, unknown, 0.0); (Engine.Sat_induction, unknown, 2.0) ]
+let test_chain_falls_through () =
+  (* 2-node passive needs 17 BDD iterations to reach its fixpoint, so
+     at bound 8 BDD is inconclusive and BMC answers with its bounded
+     proof. *)
+  let r =
+    Portfolio.race
+      ~engines:[ Engine.Bdd_reach; Engine.Sat_bmc ]
+      ~max_depth:8 (Configs.passive ~nodes ())
   in
-  List.iter
-    (fun arrival ->
-      match Portfolio.select arrival with
-      | Some (e, v, _) ->
-          Alcotest.(check string) "winner independent of arrival order"
-            "explicit-bfs" (Engine.id_to_string e);
-          Alcotest.(check string) "its verdict" "holds" (verdict_kind v)
-      | None -> Alcotest.fail "no selection")
-    (permutations results);
-  (* All inconclusive: the top-priority engine is still reported. *)
-  let all_unknown =
-    [ (Engine.Sat_bmc, unknown, 0.1); (Engine.Bdd_reach, unknown, 9.0) ]
+  Alcotest.(check (list string)) "both tried, in order"
+    [ "bdd-reachability:unknown"; "sat-bmc:holds" ]
+    (run_kinds r);
+  Alcotest.(check string) "bmc answers" "sat-bmc"
+    (Engine.id_to_string r.Portfolio.engine);
+  match r.Portfolio.verdict with
+  | Engine.Holds { detail } ->
+      Alcotest.(check string) "a bounded proof"
+        "no counterexample up to depth 8" detail
+  | v -> Alcotest.failf "expected a bounded Holds, got %s" (verdict_kind v)
+
+let test_chain_stops_at_first_conclusive () =
+  let r =
+    Portfolio.race
+      ~engines:[ Engine.Bdd_reach; Engine.Sat_bmc ]
+      ~max_depth:40
+      (Configs.full_shifting ~nodes ())
   in
-  List.iter
-    (fun arrival ->
-      match Portfolio.select arrival with
-      | Some (e, _, _) ->
-          Alcotest.(check string) "inconclusive fallback" "bdd-reachability"
-            (Engine.id_to_string e)
-      | None -> Alcotest.fail "no selection")
-    (permutations all_unknown);
-  Alcotest.(check bool) "empty input" true (Portfolio.select [] = None)
+  Alcotest.(check (list string)) "bmc never runs"
+    [ "bdd-reachability:violated" ] (run_kinds r);
+  match r.Portfolio.verdict with
+  | Engine.Violated { trace; _ } ->
+      Alcotest.(check int) "the 12-step counterexample" 12
+        (Array.length trace)
+  | v -> Alcotest.failf "expected Violated, got %s" (verdict_kind v)
+
+(* ------------------------------------------------------------------ *)
+(* Determinism *)
 
 let test_race_reproducible () =
   (* Two full races on the violated instance: the selected engine, the
@@ -632,15 +625,20 @@ let () =
         [
           Alcotest.test_case "engines stop on the flag" `Quick
             test_cancel_stops_engines;
-          Alcotest.test_case "race cancels losers" `Quick
-            test_race_cancels_losers;
           Alcotest.test_case "external cancel hook" `Quick
             test_race_external_cancel;
+          Alcotest.test_case "cancelled bmc bound demoted" `Quick
+            test_race_demotes_cancelled_bmc;
+        ] );
+      ( "chain",
+        [
+          Alcotest.test_case "falls through to bmc" `Quick
+            test_chain_falls_through;
+          Alcotest.test_case "stops at first conclusive" `Quick
+            test_chain_stops_at_first_conclusive;
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "select ignores arrival order" `Quick
-            test_select_priority_over_arrival;
           Alcotest.test_case "race is reproducible" `Quick
             test_race_reproducible;
         ] );

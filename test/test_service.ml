@@ -59,8 +59,16 @@ let test_request_defaults () =
       Alcotest.(check bool) "no deadline" true
         (req.Protocol.deadline_ms = None);
       Alcotest.(check (option string)) "no family" None req.Protocol.family;
-      Alcotest.(check int) "default engine list races the portfolio" 4
-        (List.length req.Protocol.engines)
+      Alcotest.(check bool) "no engine asks for the default chain" true
+        (req.Protocol.engines = Portfolio.default_engines);
+      match
+        Protocol.decode_request_line
+          (Json.to_string (Protocol.request ~id:"r3" ~config:"passive" ~engine:"race" ()))
+      with
+      | Error e -> Alcotest.failf "decode failed: %s" e
+      | Ok req ->
+          Alcotest.(check bool) "\"race\" asks for the default chain" true
+            (req.Protocol.engines = Portfolio.default_engines)
 
 let test_request_golden () =
   (* The wire form itself is part of the contract: a field rename
@@ -272,6 +280,19 @@ let test_request_validation () =
   expect_error "unknown config" {|{"id":"r","config":"imaginary"}|};
   expect_error "unknown engine" {|{"id":"r","config":"passive","engine":"vdd"}|};
   expect_error "bad nodes" {|{"id":"r","config":"passive","nodes":1}|};
+  (* The cluster size is bounded: a model is built on the select loop
+     and kept for the process's life. *)
+  (match
+     Protocol.decode_request_line {|{"id":"r","config":"passive","nodes":8}|}
+   with
+  | Ok req ->
+      Alcotest.(check int) "8 nodes accepted" 8 req.Protocol.cfg.Configs.nodes
+  | Error e -> Alcotest.failf "8 nodes rejected: %s" e);
+  Alcotest.(check (result reject string)) "9 nodes rejected"
+    (Error "field \"nodes\" must be between 2 and 8")
+    (Result.map ignore
+       (Protocol.decode_request_line
+          {|{"id":"r","config":"passive","nodes":9}|}));
   expect_error "bad depth" {|{"id":"r","config":"passive","depth":0}|};
   expect_error "bad deadline"
     {|{"id":"r","config":"passive","deadline_ms":-5}|};

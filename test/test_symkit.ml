@@ -763,25 +763,32 @@ let test_fingerprint_goldens () =
         "3b146d2a3a86f24b4f61ef9dbd0f0539" );
     ]
 
-(* The fingerprint is memoized in the model: a repeat call is a field
-   read, which an allocation count shows without any timing. *)
+(* One model per configuration, its fingerprint memoized in it: a
+   repeat [Build.model] on a structurally equal (freshly allocated)
+   configuration returns the same value, and with its fingerprint
+   costs a table lookup and a field read, which an allocation count
+   shows without any timing. *)
 let test_fingerprint_memo () =
-  let model = Tta_model.Build.model (Tta_model.Configs.passive ~nodes:2 ()) in
+  let cfg () = Tta_model.Configs.passive ~nodes:2 () in
+  let cfg0 = cfg () and cfg1 = cfg () in
+  let model = Tta_model.Build.model cfg0 in
   let first = Model.fingerprint model in
   let w0 = Gc.minor_words () in
-  let again = Model.fingerprint model in
+  let model' = Tta_model.Build.model cfg1 in
+  let again = Model.fingerprint model' in
   let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "two config values" true (cfg0 != cfg1);
+  Alcotest.(check bool) "one model value" true (model == model');
   Alcotest.(check string) "same digest" first again;
   Alcotest.(check bool)
     (Printf.sprintf "repeat call allocates < 100 words (%.0f)" words)
     true (words < 100.)
 
-(* Domains racing on a fresh model may each compute the memo; all must
-   see the sequential digest. *)
+(* Domains racing on a configuration no one has built yet may each
+   build it and compute the memo; all must get the one shared model
+   and the digest a fresh, unshared copy of it hashes to. *)
 let test_fingerprint_race () =
-  let cfg = Tta_model.Configs.full_shifting ~nodes:3 () in
-  let want = Model.fingerprint (Tta_model.Build.model cfg) in
-  let model = Tta_model.Build.model cfg in
+  let cfg () = Tta_model.Configs.full_shifting ~nodes:3 ~oos_budget:2 () in
   let go = Atomic.make false in
   let domains =
     List.init 4 (fun _ ->
@@ -789,13 +796,24 @@ let test_fingerprint_race () =
             while not (Atomic.get go) do
               Domain.cpu_relax ()
             done;
-            Model.fingerprint model))
+            let m = Tta_model.Build.model (cfg ()) in
+            (m, Model.fingerprint m)))
   in
   Atomic.set go true;
+  let results = List.map Domain.join domains in
+  let shared = Tta_model.Build.model (cfg ()) in
+  let want =
+    Model.fingerprint
+      (Model.make ~name:shared.Model.name ~vars:shared.Model.vars
+         ~init:shared.Model.init ~trans:shared.Model.trans)
+  in
   List.iter
-    (fun d -> Alcotest.(check string) "racing domain" want (Domain.join d))
-    domains;
-  Alcotest.(check string) "memo after the race" want (Model.fingerprint model)
+    (fun (m, fp) ->
+      Alcotest.(check bool) "racing domain got the shared model" true
+        (m == shared);
+      Alcotest.(check string) "racing domain" want fp)
+    results;
+  Alcotest.(check string) "memo after the race" want (Model.fingerprint shared)
 
 let suite =
   [
