@@ -1,7 +1,9 @@
 type t =
   | Zero
   | One
-  | Node of { uid : int; v : int; lo : t; hi : t }
+  | Node of { uid : int; v : int; lo : t; hi : t; mutable mark : int }
+      (* [mark] is the generation of the last walk that visited the node
+         (see [fresh_mark]); it is never part of the node's identity. *)
 
 let id = function Zero -> 0 | One -> 1 | Node n -> n.uid
 
@@ -115,7 +117,7 @@ let q_forall = 7
 let q_and_exists = 8
 
 (* Returned by [cache_find] on a miss; never a real diagram. *)
-let absent = Node { uid = -1; v = leaf_var; lo = Zero; hi = Zero }
+let absent = Node { uid = -1; v = leaf_var; lo = Zero; hi = Zero; mark = 0 }
 
 let cache_find m tag a b c =
   let k = (a lsl 4) lor tag in
@@ -129,13 +131,15 @@ let cache_find m tag a b c =
 
 (* Stores and returns [r]. The slot is recomputed, not remembered from
    [cache_find]: the recursion in between may have resized the table. *)
-let cache_add m tag a b c r =
-  let k = (a lsl 4) lor tag in
+let cache_put m k b c r =
   let i = hash k b c land (Array.length m.k1 - 1) in
   m.k1.(i) <- k;
   m.k2.(i) <- b;
   m.k3.(i) <- c;
-  m.res.(i) <- r;
+  m.res.(i) <- r
+
+let cache_add m tag a b c r =
+  cache_put m ((a lsl 4) lor tag) b c r;
   r
 
 (* The slot holding node (v, lo, hi), or the empty slot where it
@@ -149,6 +153,9 @@ let rec probe tbl v lo hi i =
 let slot tbl v lo hi =
   probe tbl v lo hi (hash v (id lo) (id hi) land (Array.length tbl - 1))
 
+(* Doubling the unique table keeps every node, so every computed-table
+   entry stays true: rehash the filled ones into the larger computed
+   table instead of starting it empty. *)
 let grow m =
   let old = m.unique in
   let tbl = Array.make (2 * Array.length old) Zero in
@@ -156,8 +163,13 @@ let grow m =
     (function Node n as d -> tbl.(slot tbl n.v n.lo n.hi) <- d | _ -> ())
     old;
   m.unique <- tbl;
-  if Array.length m.k1 < cache_cap then
-    resize_cache m (min cache_cap (Array.length tbl))
+  if Array.length m.k1 < cache_cap then begin
+    let k1 = m.k1 and k2 = m.k2 and k3 = m.k3 and res = m.res in
+    resize_cache m (min cache_cap (Array.length tbl));
+    Array.iteri
+      (fun i k -> if k >= 0 then cache_put m k k2.(i) k3.(i) res.(i))
+      k1
+  end
 
 (* Hash-consing constructor with the two ROBDD reduction rules. *)
 let mk m v lo hi =
@@ -166,7 +178,7 @@ let mk m v lo hi =
     let i = slot m.unique v lo hi in
     match m.unique.(i) with
     | Zero ->
-        let d = Node { uid = m.next_uid; v; lo; hi } in
+        let d = Node { uid = m.next_uid; v; lo; hi; mark = 0 } in
         m.unique.(i) <- d;
         m.next_uid <- m.next_uid + 1;
         m.n_alloc <- m.n_alloc + 1;
@@ -329,23 +341,53 @@ let rec ite m f g h =
 let conj m l = List.fold_left (dand m) One l
 let disj m l = List.fold_left (dor m) Zero l
 
-(* The variables of the distinct internal nodes reachable from [d], one
-   per node. *)
-let node_vars d =
-  let seen = Hashtbl.create 64 in
+(* Walks visit each node once by marking it with a generation no
+   earlier walk used, so they need no visited set. The counter is
+   shared by every manager and domain; a diagram itself is walked by
+   one domain at a time, like every other operation on its manager. *)
+let generation = Atomic.make 0
+let fresh_mark () = Atomic.fetch_and_add generation 1 + 1
+
+let size d =
+  let g = fresh_mark () in
   let rec go acc = function
     | Zero | One -> acc
     | Node n ->
-        if Hashtbl.mem seen n.uid then acc
+        if n.mark = g then acc
         else begin
-          Hashtbl.add seen n.uid ();
-          go (go (n.v :: acc) n.lo) n.hi
+          n.mark <- g;
+          go (go (acc + 1) n.lo) n.hi
         end
   in
-  go [] d
+  go 0 d
 
-let size d = List.length (node_vars d)
-let support d = List.sort_uniq compare (node_vars d)
+let support d =
+  let g = fresh_mark () in
+  (* seen.[v] = '\001' iff variable v labels a visited node *)
+  let seen = Stdlib.ref (Bytes.make 64 '\000') and top = Stdlib.ref (-1) in
+  let rec go = function
+    | Zero | One -> ()
+    | Node n ->
+        if n.mark <> g then begin
+          n.mark <- g;
+          let len = Bytes.length !seen in
+          if n.v >= len then begin
+            let b = Bytes.make (max (2 * len) (n.v + 1)) '\000' in
+            Bytes.blit !seen 0 b 0 len;
+            seen := b
+          end;
+          Bytes.set !seen n.v '\001';
+          if n.v > !top then top := n.v;
+          go n.lo;
+          go n.hi
+        end
+  in
+  go d;
+  let rec collect acc v =
+    if v < 0 then acc
+    else collect (if Bytes.get !seen v = '\001' then v :: acc else acc) (v - 1)
+  in
+  collect [] !top
 
 let varset m vars =
   let max_var = List.fold_left max (-1) vars in

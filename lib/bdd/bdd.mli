@@ -19,7 +19,8 @@ type t
 val create_manager : ?gc_watermark:int -> unit -> manager
 (** [create_manager ()] returns a fresh manager with small, empty
     tables that size themselves: the computed table (direct-mapped and
-    lossy) grows with the unique table up to a fixed cap.
+    lossy) grows with the unique table up to a fixed cap, keeping its
+    entries.
     [gc_watermark] (default [0] = never collect) arms {!maybe_gc}. *)
 
 val clear_caches : manager -> unit
@@ -124,7 +125,12 @@ val size : t -> int
 (** Number of distinct internal nodes reachable from the root. *)
 
 val support : t -> int list
-(** Sorted list of variables the function actually depends on. *)
+(** Sorted list of variables the function actually depends on.
+
+    Both walk the diagram by stamping its nodes with a fresh
+    generation, so like every other operation they must not run on one
+    diagram from two domains at once; walks of different managers from
+    different domains are fine. *)
 
 (** {1 Quantification and substitution} *)
 

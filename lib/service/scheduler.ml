@@ -242,10 +242,18 @@ let execute t comp =
           match session_engine t comp with
           | Some (pool, engine) -> run_on_session t comp ~pool ~engine ~cancel
           | None ->
-              ( Portfolio.race ~cancel ?cache:t.cache ~engines:comp.engines
+              (* [submit] already probed the cache for this request, so
+                 the chain runs without it and its verdict is stored
+                 here. *)
+              let r =
+                Portfolio.race ~cancel ~engines:comp.engines
                   ~max_depth:comp.max_depth ~supervisor:t.supervisor
-                  ~faults:t.faults comp.cfg,
-                no_attr )
+                  ~faults:t.faults comp.cfg
+              in
+              Portfolio.cache_store t.cache ~model:(Build.model comp.cfg)
+                ~engine:r.Portfolio.engine ~max_depth:comp.max_depth
+                r.Portfolio.verdict;
+              (r, no_attr)
         in
         Obs.stop span;
         (r, attr, true)

@@ -16,8 +16,9 @@
     consulted at admission: a conclusive cached verdict answers the
     submission synchronously, without touching the queue. The probe's
     file I/O runs outside the scheduler's lock, so it never stalls the
-    workers. (The workers also pass the cache down to
-    {!Portfolio.race}, which stores new conclusive verdicts.)
+    workers. That is the request's only probe: the workers run
+    {!Portfolio.race} without the cache and store its new conclusive
+    verdicts themselves.
 
     {b Admission control.} The queue is bounded; a submission that
     finds it full is shed — {!submit} returns [`Shed] and no callback

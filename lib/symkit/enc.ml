@@ -177,10 +177,34 @@ let var_cases t ~primed name =
   Array.to_list
     (Array.mapi (fun i v -> (v, guard_of_index t ve ~primed i)) ve.values)
 
-let rec eval_sym t e =
+(* Model builders share sub-expressions physically: one node's
+   constraint reuses the channel terms of every other node, so a
+   constraint printing as tens of thousands of characters compiles to a
+   few hundred BDD nodes. A memo keyed by physical identity evaluates
+   each shared sub-expression once per compile call. It holds unrooted
+   diagrams, so it never outlives the call; it lives on the stack, not
+   on the [Model.t], because two domains may compile one model at
+   once. *)
+module Memo = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let rec eval_sym t memo e =
+  match Memo.find_opt memo e with
+  | Some s -> s
+  | None ->
+      let s = eval_node t memo e in
+      Memo.add memo e s;
+      s
+
+and eval_node t memo e =
   let m = t.mgr in
+  let eval = eval_sym t memo in
   let combine_cases f a b =
-    let ca = cases_of t (eval_sym t a) and cb = cases_of t (eval_sym t b) in
+    let ca = cases_of t (eval a) and cb = cases_of t (eval b) in
     let pairs =
       List.concat_map
         (fun (va, ga) ->
@@ -198,15 +222,15 @@ let rec eval_sym t e =
   | Expr.Const v -> S_cases [ (v, Bdd.one) ]
   | Expr.Cur v -> S_cases (var_cases t ~primed:false v)
   | Expr.Nxt v -> S_cases (var_cases t ~primed:true v)
-  | Expr.Not a -> S_bool (Bdd.dnot m (bool_of t (eval_sym t a)))
+  | Expr.Not a -> S_bool (Bdd.dnot m (bool_of t (eval a)))
   | Expr.And (a, b) ->
-      S_bool (Bdd.dand m (bool_of t (eval_sym t a)) (bool_of t (eval_sym t b)))
+      S_bool (Bdd.dand m (bool_of t (eval a)) (bool_of t (eval b)))
   | Expr.Or (a, b) ->
-      S_bool (Bdd.dor m (bool_of t (eval_sym t a)) (bool_of t (eval_sym t b)))
+      S_bool (Bdd.dor m (bool_of t (eval a)) (bool_of t (eval b)))
   | Expr.Imp (a, b) ->
-      S_bool (Bdd.imp m (bool_of t (eval_sym t a)) (bool_of t (eval_sym t b)))
+      S_bool (Bdd.imp m (bool_of t (eval a)) (bool_of t (eval b)))
   | Expr.Iff (a, b) ->
-      S_bool (Bdd.iff m (bool_of t (eval_sym t a)) (bool_of t (eval_sym t b)))
+      S_bool (Bdd.iff m (bool_of t (eval a)) (bool_of t (eval b)))
   | Expr.Eq (a, b) ->
       let eqs =
         combine_cases
@@ -241,8 +265,8 @@ let rec eval_sym t e =
       in
       S_cases (norm_cases t sums)
   | Expr.Ite (c, th, el) -> (
-      let gc = bool_of t (eval_sym t c) in
-      let sth = eval_sym t th and sel = eval_sym t el in
+      let gc = bool_of t (eval c) in
+      let sth = eval th and sel = eval el in
       match (sth, sel) with
       | S_bool bt, S_bool be -> S_bool (Bdd.ite m gc bt be)
       | _ ->
@@ -251,7 +275,7 @@ let rec eval_sym t e =
           let guarded g0 = List.map (fun (v, g) -> (v, Bdd.dand m g0 g)) in
           S_cases (norm_cases t (guarded gc ct @ guarded gn ce)))
   | Expr.Member (a, vs) ->
-      let ca = cases_of t (eval_sym t a) in
+      let ca = cases_of t (eval a) in
       let hits =
         List.filter_map
           (fun (v, g) ->
@@ -260,9 +284,13 @@ let rec eval_sym t e =
       in
       S_bool (Bdd.disj m hits)
 
-(* Boolean predicate (over current and possibly primed variables) as a
-   BDD. *)
-let pred t e = bool_of t (eval_sym t e)
+(* Boolean predicates (over current and possibly primed variables) as
+   BDDs, sharing one memo across the list. *)
+let preds t es =
+  let memo = Memo.create 256 in
+  List.map (fun e -> bool_of t (eval_sym t memo e)) es
+
+let pred t e = bool_of t (eval_sym t (Memo.create 64) e)
 
 (* "Every variable's bits encode an index inside its domain." Needed
    because binary encodings of non-power-of-two domains have junk
@@ -304,7 +332,7 @@ let init_bdd t =
   | None ->
       let d =
         Bdd.dand t.mgr (valid t ~primed:false)
-          (Bdd.conj t.mgr (List.map (pred t) t.model.Model.init))
+          (Bdd.conj t.mgr (preds t t.model.Model.init))
       in
       Bdd.ref t.mgr d;
       t.init_cache <- Some d;
@@ -312,7 +340,7 @@ let init_bdd t =
 
 (* Individual transition constraints (kept separate for the bounded
    model checker and for conjunction scheduling). *)
-let trans_parts t = List.map (pred t) t.model.Model.trans
+let trans_parts t = preds t t.model.Model.trans
 
 let trans_bdd t =
   match t.trans_cache with
@@ -341,38 +369,44 @@ let default_cluster_limit = 1_500
    most current-copy variables (variables appearing in no other
    remaining cluster — they can be quantified out immediately after
    conjoining it), breaking ties toward smaller diagrams so cheap
-   constraints are folded in early. *)
-let order_clusters clusters =
-  let supp = List.map (fun c -> (c, Bdd.support c)) clusters in
-  let cur_only s = List.filter (fun v -> v land 1 = 0) s in
-  let rec go acc remaining =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-        let elsewhere c =
-          List.concat_map
-            (fun (c', s') -> if c' == c then [] else s')
-            remaining
-        in
-        let score (c, s) =
-          let other = elsewhere c in
-          let released =
-            List.length
-              (List.filter (fun v -> not (List.mem v other)) (cur_only s))
-          in
-          (released, -Bdd.size c)
-        in
-        let best =
-          List.fold_left
-            (fun (bc, bs) cs -> if score cs > bs then (cs, score cs) else (bc, bs))
-            (List.hd remaining, score (List.hd remaining))
-            (List.tl remaining)
-          |> fst
-        in
-        go (fst best :: acc)
-          (List.filter (fun (c, _) -> not (c == fst best)) remaining)
+   constraints are folded in early, then toward the earlier cluster.
+   Each cluster's support and size are computed once, and a count of
+   the remaining clusters mentioning each variable makes "released" a
+   lookup. A cluster physically equal to an earlier one is the same
+   conjunct and is kept once. Returns the clusters in order, each with
+   its support. *)
+let order_clusters t clusters =
+  let cs =
+    List.fold_left
+      (fun acc c -> if List.memq c acc then acc else c :: acc)
+      [] clusters
+    |> List.rev |> Array.of_list
   in
-  go [] supp
+  let k = Array.length cs in
+  let supp = Array.map Bdd.support cs in
+  let size = Array.map Bdd.size cs in
+  let curs = Array.map (List.filter (fun v -> v land 1 = 0)) supp in
+  let mentions = Array.make (2 * t.nbits) 0 in
+  let mention d c = List.iter (fun v -> mentions.(v) <- mentions.(v) + d) c in
+  Array.iter (mention 1) curs;
+  let released i =
+    List.fold_left (fun n v -> if mentions.(v) = 1 then n + 1 else n) 0 curs.(i)
+  in
+  let taken = Array.make k false in
+  Array.init k (fun _ ->
+      let best = ref (-1) and best_score = ref (0, 0) in
+      for i = 0 to k - 1 do
+        if not taken.(i) then begin
+          let score = (released i, -size.(i)) in
+          if !best < 0 || score > !best_score then begin
+            best := i;
+            best_score := score
+          end
+        end
+      done;
+      taken.(!best) <- true;
+      mention (-1) curs.(!best);
+      (cs.(!best), supp.(!best)))
 
 let build_schedule t ~cluster_limit =
   let conjuncts =
@@ -399,26 +433,21 @@ let build_schedule t ~cluster_limit =
     in
     List.rev (flush acc last)
   in
-  let ordered = Array.of_list (order_clusters clusters) in
+  let ordered = order_clusters t clusters in
   let k = Array.length ordered in
-  let supports = Array.map Bdd.support ordered in
   (* Last cluster mentioning each BDD variable; -1 = mentioned by
      none (quantified straight out of the operand before the fold). *)
-  let last_of v =
-    let rec go i best =
-      if i >= k then best
-      else go (i + 1) (if List.mem v supports.(i) then i else best)
-    in
-    go 0 (-1)
-  in
+  let last = Array.make (2 * t.nbits) (-1) in
+  Array.iteri (fun i (_, s) -> List.iter (fun v -> last.(v) <- i) s) ordered;
+  let ordered = Array.map fst ordered in
   let img_slots = Array.make k [] and pre_slots = Array.make k [] in
   let img_free = Stdlib.ref [] and pre_free = Stdlib.ref [] in
   for b = 0 to t.nbits - 1 do
     let cur = bdd_var_cur b and nxt = bdd_var_nxt b in
-    (match last_of cur with
+    (match last.(cur) with
     | -1 -> img_free := cur :: !img_free
     | i -> img_slots.(i) <- cur :: img_slots.(i));
-    match last_of nxt with
+    match last.(nxt) with
     | -1 -> pre_free := nxt :: !pre_free
     | i -> pre_slots.(i) <- nxt :: pre_slots.(i)
   done;

@@ -235,8 +235,9 @@ let check ?(max_iterations = max_int) ?(cancel = fun () -> false)
         let img = image ~tuning enc fmin in
         let fresh = Bdd.dand m img (Bdd.dnot m reach) in
         Obs.tick iterations_c;
-        (* [Bdd.size] walks the diagram: only pay for it when someone
-           is listening. *)
+        (* [Bdd.size] is a marked walk of the new ring. Every run
+           through [Engine.instrumented] passes a live track, so it is
+           paid on each image step there; a disabled track skips it. *)
         if Obs.enabled obs then begin
           Obs.record frontier_g (Bdd.size fresh);
           Obs.set_max obs "bdd.live_nodes" (Bdd.live_nodes m)

@@ -406,10 +406,104 @@ let prop_shared_manager =
       && Bdd.equal (build m f) df
       && (!case < count || Bdd.peak_nodes m > 4096 / 2))
 
+(* ------------------------------------------------------------------ *)
+(* Traversals. [size] and [support] walk a diagram by marking its
+   nodes; they must agree with a plain reference walk that keeps its
+   own visited set, on diagrams built before and after the unique table
+   doubles (the computed table is carried across each doubling), after
+   a sweep, and when two domains walk two managers at once. *)
+
+let reference_walk d =
+  let seen = Hashtbl.create 64 in
+  let rec go acc d =
+    if Bdd.is_zero d || Bdd.is_one d || Hashtbl.mem seen (Bdd.id d) then acc
+    else begin
+      Hashtbl.add seen (Bdd.id d) ();
+      go (go (Bdd.top_var d :: acc) (Bdd.low d)) (Bdd.high d)
+    end
+  in
+  let vars = go [] d in
+  (List.length vars, List.sort_uniq compare vars)
+
+let walks_agree d =
+  let n, vars = reference_walk d in
+  Bdd.size d = n && Bdd.support d = vars
+
+(* A pseudo-random function over variables [0, nv): a complete decision
+   tree with random leaves, reduced by the unique table. *)
+let random_function m st nv =
+  let rec go v =
+    if v = nv then if Random.State.bool st then Bdd.one else Bdd.zero
+    else
+      let lo = go (v + 1) in
+      Bdd.ite m (Bdd.var m v) (go (v + 1)) lo
+  in
+  go 0
+
+let prop_walks_across_growth =
+  QCheck.Test.make ~name:"marked walks = reference walk across growth and gc"
+    ~count:12
+    (QCheck.triple (form_arb_over wide) (form_arb_over wide)
+       (QCheck.list_of_size (QCheck.Gen.int_range 1 3)
+          (QCheck.int_bound (wide - 1))))
+    (fun (f, g, vs) ->
+      let m = Bdd.create_manager () in
+      let df = build m f and dg = build m g in
+      let set = Bdd.varset m vs in
+      let ops () =
+        [
+          df;
+          dg;
+          Bdd.dand m df dg;
+          Bdd.dor m df dg;
+          Bdd.xor m df dg;
+          Bdd.exists m set df;
+          Bdd.and_exists m set df dg;
+          Bdd.restrict m df dg;
+        ]
+      in
+      let before = ops () in
+      let ok_before = List.for_all walks_agree before in
+      (* Grow the unique table from 4096 slots through at least three
+         doublings with unrelated diagrams, walking those too. *)
+      let st = Random.State.make [| Bdd.size df; Bdd.size dg |] in
+      let filler = ref [] in
+      while Bdd.peak_nodes m <= 8192 do
+        filler := random_function m st 14 :: !filler
+      done;
+      let ok_filler = List.for_all walks_agree !filler in
+      let after = ops () in
+      let same = List.for_all2 Bdd.equal before after in
+      let ok_after = List.for_all walks_agree after in
+      List.iter (Bdd.ref m) after;
+      Bdd.gc m;
+      let ok_gc =
+        List.for_all walks_agree after
+        && List.for_all2 Bdd.equal after (ops ())
+      in
+      ok_before && ok_filler && same && ok_after && ok_gc)
+
+let test_walks_two_domains () =
+  let walk_many seed () =
+    let m = Bdd.create_manager () in
+    let rand = Random.State.make [| seed |] in
+    let forms = QCheck.Gen.generate ~rand ~n:200 (form_gen_over wide) in
+    let ds = List.map (build m) forms in
+    (* Walk every diagram several times so the two domains' walks
+       interleave; each pass must agree with the reference. *)
+    List.init 5 (fun _ -> List.for_all walks_agree ds)
+    |> List.for_all Fun.id
+  in
+  let d1 = Domain.spawn (walk_many 1) and d2 = Domain.spawn (walk_many 2) in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "domain 1 walks agree" true r1;
+  Alcotest.(check bool) "domain 2 walks agree" true r2
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_shared_manager;
+      prop_walks_across_growth;
       prop_cofactor_drops_var;
       prop_restrict_sound;
       prop_restrict_full_care;
@@ -437,6 +531,7 @@ let suite =
     Alcotest.test_case "gc sweep" `Quick test_gc_sweep;
     Alcotest.test_case "gc roots protocol" `Quick test_gc_roots_protocol;
     Alcotest.test_case "gc watermark" `Quick test_gc_watermark;
+    Alcotest.test_case "walks from two domains" `Quick test_walks_two_domains;
   ]
   @ qtests
 

@@ -426,6 +426,37 @@ let test_scheduler_cache_hit () =
   Alcotest.(check bool) "cached outcome is conclusive" true
     (Portfolio.conclusive hit.Scheduler.result.Portfolio.verdict)
 
+(* A cold request reads the verdict cache once, at admission: the run
+   that follows neither probes it again nor counts a second miss. *)
+let test_scheduler_one_probe_per_request () =
+  let cache = Portfolio.Cache.create ~dir:(temp_dir ()) () in
+  let sched = Scheduler.create ~workers:1 ~cache () in
+  let cfg = Configs.passive ~nodes () in
+  let results = ref [] and lock = Mutex.create () in
+  let submit () =
+    submit_collect sched ~engines:[ Engine.Bdd_reach ] ~max_depth:24 cfg
+      results lock
+  in
+  let rec wait_for n =
+    Mutex.lock lock;
+    let got = List.length !results in
+    Mutex.unlock lock;
+    if got < n then begin
+      Unix.sleepf 0.02;
+      wait_for n
+    end
+  in
+  Alcotest.(check bool) "cold submit queues" true (submit () = `Queued);
+  wait_for 1;
+  Alcotest.(check int) "cold: one miss" 1 (Portfolio.Cache.misses cache);
+  Alcotest.(check int) "cold: no hit" 0 (Portfolio.Cache.hits cache);
+  Alcotest.(check bool) "repeat answers from the cache" true
+    (submit () = `Cache_hit);
+  Alcotest.(check int) "repeat: one hit" 1 (Portfolio.Cache.hits cache);
+  Alcotest.(check int) "repeat: still one miss" 1
+    (Portfolio.Cache.misses cache);
+  Scheduler.drain sched
+
 let test_scheduler_expired_deadline_skips_run () =
   let sched = Scheduler.create ~workers:1 () in
   let cfg = Configs.full_shifting ~nodes () in
@@ -1197,6 +1228,8 @@ let () =
             test_scheduler_family_partitions_coalescing;
           Alcotest.test_case "warm cache answers at admission" `Quick
             test_scheduler_cache_hit;
+          Alcotest.test_case "one cache probe per cold request" `Quick
+            test_scheduler_one_probe_per_request;
           Alcotest.test_case "expired deadline skips the run" `Quick
             test_scheduler_expired_deadline_skips_run;
           Alcotest.test_case "admission control sheds over cap" `Quick

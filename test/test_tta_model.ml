@@ -157,6 +157,133 @@ let test_section5_work_pinned () =
         190311 );
     ]
 
+(* The compile that every BDD verdict starts with, pinned for E1-E5 at
+   2 and 3 nodes: the cluster count, then each cluster's node count and
+   support length in schedule order, and the nodes the compile
+   allocates. Compile speedups must leave all of them as they are. *)
+let e1_to_e5 n =
+  [
+    Tta_model.Configs.passive ~nodes:n ();
+    Tta_model.Configs.time_windows ~nodes:n ();
+    Tta_model.Configs.small_shifting ~nodes:n ();
+    Tta_model.Configs.full_shifting ~nodes:n ();
+    Tta_model.Configs.full_shifting ~nodes:n ~forbid_cold_start_duplication:true
+      ();
+  ]
+
+let cluster_shape model =
+  let enc = Enc.create (Bdd.create_manager ()) model in
+  let s = Enc.schedule enc in
+  ( Enc.n_partitions enc,
+    Array.to_list (Array.map Bdd.size s.Enc.parts),
+    Array.to_list (Array.map (fun d -> List.length (Bdd.support d)) s.Enc.parts),
+    List.assoc "bdd.nodes_allocated" (Bdd.counters (Enc.mgr enc)) )
+
+let test_compile_pinned () =
+  let safe2 = ([ 1058; 981; 1246; 1458; 5 ], [ 41; 72; 47; 49; 4 ], 31447) in
+  let safe3 =
+    ( [ 1305; 1391; 1364; 1406; 904; 1444; 519 ],
+      [ 48; 50; 72; 55; 45; 47; 46 ],
+      61172 )
+  in
+  let common3 = [ 1305; 1391; 1364; 1406; 904; 1444 ]
+  and supp3 = [ 48; 50; 72; 55; 45; 47; 48 ] in
+  let expected =
+    [
+      (2, [ safe2; safe2; safe2;
+            ([ 33; 1058; 981; 1246; 1325 ], [ 10; 41; 72; 47; 47 ], 31155);
+            ([ 39; 1058; 981; 1246; 1325 ], [ 16; 41; 72; 47; 47 ], 31204) ]);
+      (3, [ safe3; safe3; safe3;
+            (common3 @ [ 1122 ], supp3, 62174);
+            (common3 @ [ 1103 ], supp3, 62798) ]);
+    ]
+  in
+  List.iter
+    (fun (n, rows) ->
+      List.iter2
+        (fun cfg (sizes, supports, allocated) ->
+          let name = Printf.sprintf "%s@%d" (Tta_model.Configs.name cfg) n in
+          let parts, got_sizes, got_supports, got_alloc =
+            cluster_shape (Tta_model.Build.model cfg)
+          in
+          Alcotest.(check int) (name ^ ": partitions") (List.length sizes) parts;
+          Alcotest.(check (list int)) (name ^ ": cluster sizes") sizes got_sizes;
+          Alcotest.(check (list int))
+            (name ^ ": cluster supports") supports got_supports;
+          Alcotest.(check int) (name ^ ": compile allocations") allocated
+            got_alloc)
+        (e1_to_e5 n) rows)
+    expected
+
+(* The largest 3-node transition constraint shares its sub-terms
+   physically; an unshared deep copy of it must compile to the same
+   diagram. *)
+let test_shared_terms_compile_alike () =
+  let rec copy (e : Expr.t) : Expr.t =
+    match e with
+    | Const v -> Const v
+    | Cur v -> Cur (String.init (String.length v) (String.get v))
+    | Nxt v -> Nxt (String.init (String.length v) (String.get v))
+    | Not a -> Not (copy a)
+    | And (a, b) -> And (copy a, copy b)
+    | Or (a, b) -> Or (copy a, copy b)
+    | Imp (a, b) -> Imp (copy a, copy b)
+    | Iff (a, b) -> Iff (copy a, copy b)
+    | Eq (a, b) -> Eq (copy a, copy b)
+    | Lt (a, b) -> Lt (copy a, copy b)
+    | Add (a, b) -> Add (copy a, copy b)
+    | Sub (a, b) -> Sub (copy a, copy b)
+    | Ite (c, a, b) -> Ite (copy c, copy a, copy b)
+    | Member (a, vs) -> Member (copy a, vs)
+  in
+  let model = Tta_model.Build.model (Tta_model.Configs.passive ~nodes:3 ()) in
+  let largest =
+    List.fold_left
+      (fun best e ->
+        if String.length (Expr.to_string e) > String.length (Expr.to_string best)
+        then e
+        else best)
+      Expr.tt model.Model.trans
+  in
+  (* Distinct physical nodes against tree nodes: the sharing is real. *)
+  let seen = ref [] in
+  let rec walk tree (e : Expr.t) =
+    if not (List.memq e !seen) then seen := e :: !seen;
+    match e with
+    | Const _ | Cur _ | Nxt _ -> tree + 1
+    | Not a | Member (a, _) -> walk (tree + 1) a
+    | And (a, b) | Or (a, b) | Imp (a, b) | Iff (a, b) | Eq (a, b)
+    | Lt (a, b) | Add (a, b) | Sub (a, b) ->
+        walk (walk (tree + 1) a) b
+    | Ite (c, a, b) -> walk (walk (walk (tree + 1) c) a) b
+  in
+  let tree = walk 0 largest in
+  Alcotest.(check bool)
+    (Printf.sprintf "sub-terms shared (%d distinct of %d)" (List.length !seen)
+       tree)
+    true
+    (2 * List.length !seen < tree);
+  let enc = Enc.create (Bdd.create_manager ()) model in
+  Alcotest.(check bool) "shared term = unshared copy" true
+    (Bdd.equal (Enc.pred enc largest) (Enc.pred enc (copy largest)))
+
+(* Two domains compiling one memoized model at once see what a
+   sequential compile sees. *)
+let test_concurrent_compile () =
+  let model = Tta_model.Build.model (Tta_model.Configs.full_shifting ~nodes:3 ()) in
+  let alone = cluster_shape model in
+  let ds = List.init 2 (fun _ -> Domain.spawn (fun () -> cluster_shape model)) in
+  List.iteri
+    (fun i d ->
+      let parts, sizes, supports, alloc = Domain.join d in
+      let p0, s0, u0, a0 = alone in
+      let name = Printf.sprintf "domain %d" i in
+      Alcotest.(check int) (name ^ ": partitions") p0 parts;
+      Alcotest.(check (list int)) (name ^ ": sizes") s0 sizes;
+      Alcotest.(check (list int)) (name ^ ": supports") u0 supports;
+      Alcotest.(check int) (name ^ ": allocations") a0 alloc)
+    ds
+
 (* Semantic checks on the counterexample: the budget is respected, the
    replay actually happens, and the victim had integrated. *)
 let count_steps_with model trace pred =
@@ -497,6 +624,12 @@ let () =
             test_full_shifting_violated_and_traces_agree;
           Alcotest.test_case "section 5 work pinned at 3 nodes" `Quick
             test_section5_work_pinned;
+          Alcotest.test_case "compile pinned at 2 and 3 nodes" `Quick
+            test_compile_pinned;
+          Alcotest.test_case "shared sub-terms compile once, alike" `Quick
+            test_shared_terms_compile_alike;
+          Alcotest.test_case "two domains compile one model" `Quick
+            test_concurrent_compile;
           Alcotest.test_case "counterexample semantics" `Quick
             test_counterexample_semantics;
           Alcotest.test_case "cold-start duplication prohibited" `Quick
