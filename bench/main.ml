@@ -33,9 +33,17 @@ let timed f =
 
 let nproc = Domain.recommended_domain_count ()
 
+(* "+dirty" when tracked files differ from HEAD, so numbers measured on
+   uncommitted changes are not credited to the commit; empty when they
+   match or git cannot run. *)
+let dirty () =
+  if Sys.command "git diff --quiet HEAD >/dev/null 2>&1" = 1 then "+dirty"
+  else ""
+
 (* The commit HEAD names in the git checkout the bench runs from (its
    root, where the artifacts land), read from .git directly: a loose or
-   packed ref, or a detached hash. "unknown" outside a git checkout. *)
+   packed ref, or a detached hash, suffixed by {!dirty}. "unknown"
+   outside a git checkout. *)
 let commit () =
   let read name =
     try
@@ -45,22 +53,23 @@ let commit () =
               In_channel.input_all))
     with Sys_error _ -> None
   in
-  match read "HEAD" with
-  | Some h when String.starts_with ~prefix:"ref: " h -> (
-      let r = String.sub h 5 (String.length h - 5) in
-      match read r with
-      | Some sha -> sha
-      | None ->
-          Option.bind (read "packed-refs") (fun packed ->
-              List.find_map
-                (fun line ->
-                  match String.split_on_char ' ' line with
-                  | [ sha; r' ] when r' = r -> Some sha
-                  | _ -> None)
-                (String.split_on_char '\n' packed))
-          |> Option.value ~default:"unknown")
-  | Some sha -> sha
-  | None -> "unknown"
+  let head =
+    match read "HEAD" with
+    | Some h when String.starts_with ~prefix:"ref: " h -> (
+        let r = String.sub h 5 (String.length h - 5) in
+        match read r with
+        | Some sha -> Some sha
+        | None ->
+            Option.bind (read "packed-refs") (fun packed ->
+                List.find_map
+                  (fun line ->
+                    match String.split_on_char ' ' line with
+                    | [ sha; r' ] when r' = r -> Some sha
+                    | _ -> None)
+                  (String.split_on_char '\n' packed)))
+    | h -> h
+  in
+  match head with Some sha -> sha ^ dirty () | None -> "unknown"
 
 let command args = String.concat " " ("dune exec bench/main.exe --" :: args)
 
@@ -332,28 +341,29 @@ let paper_scale_work =
     (582963, 16, 15);
   ]
 
+(* E1-E5: E1-E3 safe, E4/E5 violated. *)
+let section5_configs ~nodes =
+  [
+    ("E1 passive", Tta_model.Configs.passive ~nodes ());
+    ("E2 time-windows", Tta_model.Configs.time_windows ~nodes ());
+    ("E3 small-shifting", Tta_model.Configs.small_shifting ~nodes ());
+    ("E4 full-shifting", Tta_model.Configs.full_shifting ~nodes ());
+    (* The C-state-duplication instance needs three participants. *)
+    ( "E5 full-shifting-nodup",
+      Tta_model.Configs.full_shifting ~nodes:(max 3 nodes)
+        ~forbid_cold_start_duplication:true () );
+  ]
+
+let bad_of (cfg : Tta_model.Configs.t) =
+  Tta_model.Props.integrated_node_frozen ~nodes:cfg.Tta_model.Configs.nodes
+
 let section_reach ~nodes =
   heading
     "BDD reachability — Section 5 configurations, default tuning (%d nodes)"
     nodes;
-  let configs =
-    [
-      ("E1 passive", nodes, Tta_model.Configs.passive ~nodes ());
-      ("E2 time-windows", nodes, Tta_model.Configs.time_windows ~nodes ());
-      ( "E3 small-shifting",
-        nodes,
-        Tta_model.Configs.small_shifting ~nodes () );
-      ("E4 full-shifting", nodes, Tta_model.Configs.full_shifting ~nodes ());
-      (* The C-state-duplication instance needs three participants. *)
-      ( "E5 full-shifting-nodup",
-        max 3 nodes,
-        Tta_model.Configs.full_shifting ~nodes:(max 3 nodes)
-          ~forbid_cold_start_duplication:true () );
-    ]
-  in
   Printf.printf "  %-24s %-9s %4s %6s %9s %4s %8s %8s\n" "config" "verdict"
     "len" "iters" "peak" "gc" "compile" "time";
-  let run_one (cfg_name, cfg_nodes, cfg) =
+  let run_one (cfg_name, cfg) =
     let mgr = Bdd.create_manager () in
     let model = Tta_model.Build.model cfg in
     let enc, compile =
@@ -362,7 +372,7 @@ let section_reach ~nodes =
           ignore (Symkit.Enc.schedule enc);
           enc)
     in
-    let bad = Tta_model.Props.integrated_node_frozen ~nodes:cfg_nodes in
+    let bad = bad_of cfg in
     let result, fixpoint =
       timed (fun () -> Symkit.Reach.check ~max_iterations:100 enc ~bad)
     in
@@ -395,7 +405,9 @@ let section_reach ~nodes =
       (verdict, wall, (allocated, stats.Symkit.Reach.iterations, partitions))
     )
   in
-  let rows, outcomes = List.split (List.map run_one configs) in
+  let rows, outcomes =
+    List.split (List.map run_one (section5_configs ~nodes))
+  in
   let verdicts = List.map (fun (v, _, _) -> v) outcomes in
   let ref_lo, ref_hi = seed_reference_s in
   Printf.printf "  seed reference: %.0f-%.0fs per 4-node experiment\n%!" ref_lo
@@ -416,6 +428,46 @@ let section_reach ~nodes =
         nodes <> 4
         || List.map (fun (_, _, work) -> work) outcomes = paper_scale_work );
     ] )
+
+(* ------------------------------------------------------------------ *)
+(* E9: the SAT solver checks the BDD fixpoint as an inductive invariant
+   (Symkit.Induction: initiation, safety, consecution). On the safe
+   configurations the property alone is not 1-inductive, while the
+   fixpoint is an inductive strengthening of it; on the unsafe ones the
+   fixpoint holds a bad state. Always 3 nodes, also under
+   --paper-scale: at 4 nodes the E1 check ran over 25 min. *)
+
+let e9_nodes = 3
+
+let section_e9 () =
+  heading "E9 invariant check (%d nodes)" e9_nodes;
+  Printf.printf "  %-24s %-18s %7s   %-18s %7s\n" "config" "with fixpoint"
+    "time" "with not-bad" "time";
+  let run_one (name, cfg) =
+    let enc =
+      Symkit.Enc.create (Bdd.create_manager ()) (Tta_model.Build.model cfg)
+    in
+    let bad = bad_of cfg in
+    let check inv = timed (fun () -> Symkit.Induction.check enc ~inv ~bad) in
+    let fixpoint, t_fix = check (Symkit.Reach.reachable_set enc) in
+    let not_bad, t_not_bad =
+      check (Bdd.dnot (Symkit.Enc.mgr enc) (Symkit.Enc.pred enc bad))
+    in
+    let show = Symkit.Induction.result_to_string in
+    Printf.printf "  %-24s %-18s %6.2fs   %-18s %6.2fs\n%!" name (show fixpoint)
+      t_fix (show not_bad) t_not_bad;
+    (fixpoint, not_bad)
+  in
+  let outcomes = List.map run_one (section5_configs ~nodes:e9_nodes) in
+  let safe = List.filteri (fun i _ -> i < 3) outcomes in
+  let unsafe = List.filteri (fun i _ -> i >= 3) outcomes in
+  let open Symkit.Induction in
+  [
+    ( "E9: E1-E3 fixpoint inductive, not-bad fails consecution",
+      List.for_all (( = ) (Inductive, Fails Consecution)) safe );
+    ( "E9: E4/E5 fixpoint fails safety",
+      List.for_all (fun (fixpoint, _) -> fixpoint = Fails Safety) unsafe );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E15: sensitivity of the BDD engine to the variable order, measured
@@ -1225,8 +1277,8 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-(* The paper-tables run. Its checks are those of the reach and sessions
-   sections, whose tables it prints, and that the BENCH_portfolio.json
+(* The paper-tables run. Its checks are those of the reach, E9 and
+   sessions sections, whose tables it prints, and that the BENCH_portfolio.json
    it writes parses; the artifacts those sections feed are their
    subcommands' to write. *)
 let paper_run paper_scale no_micro =
@@ -1253,6 +1305,7 @@ let paper_run paper_scale no_micro =
   section_sim ();
   section_extensions ();
   let _, reach_checks = section_reach ~nodes in
+  let e9_checks = section_e9 () in
   section_orders ~nodes;
   section_async ();
   section_walks ~paper_scale;
@@ -1261,7 +1314,7 @@ let paper_run paper_scale no_micro =
   print_newline ();
   let checks =
     (("BENCH_portfolio.json parses", portfolio_parses) :: reach_checks)
-    @ sessions_checks
+    @ e9_checks @ sessions_checks
   in
   exit (if gate checks then 0 else 1)
 

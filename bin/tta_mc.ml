@@ -8,10 +8,7 @@
 *)
 
 let run config_name engine_name nodes max_depth no_cs_dup oos_budget
-    partitioned gc_watermark no_restrict export_smv json_path obs =
-  let reach_tuning =
-    Cli.reach_tuning_of ~partitioned ~gc_watermark ~no_restrict
-  in
+    export_smv json_path obs =
   let feature_set = Cli.feature_set_of_config config_name in
   let engine = Cli.engine_of_name engine_name in
   let cfg =
@@ -35,7 +32,7 @@ let run config_name engine_name nodes max_depth no_cs_dup oos_budget
   let r =
     engine.Tta_model.Engine.run
       ~obs:(Cli.obs_track obs ("mc/" ^ engine.Tta_model.Engine.name))
-      ~max_depth ~reach_tuning cfg
+      ~max_depth cfg
   in
   let dt = Unix.gettimeofday () -. t0 in
   (match r.Tta_model.Engine.verdict with
@@ -124,8 +121,7 @@ let () =
          ~doc:"Model-check TTA star-coupler fault-tolerance configurations")
       Term.(
         const run $ Cli.config () $ Cli.engine () $ Cli.nodes ()
-        $ Cli.depth () $ no_cs_dup $ oos_budget $ Cli.partitioned ()
-        $ Cli.gc_watermark () $ Cli.no_restrict () $ export_smv
-        $ Cli.json () $ Cli.obs ())
+        $ Cli.depth () $ no_cs_dup $ oos_budget $ export_smv $ Cli.json ()
+        $ Cli.obs ())
   in
   exit (Cmd.eval cmd)

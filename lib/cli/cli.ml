@@ -15,13 +15,16 @@ let config ?(default = "full-shifting") () =
           "Star-coupler feature set: passive, time-windows, small-shifting, \
            or full-shifting.")
 
+(* The accepted engine spellings, from the engine registry. *)
+let engine_names sep = String.concat sep Tta_model.Engine.short_names
+
 let engine ?(default = "bmc") () =
   Arg.(
     value & opt string default
     & info [ "e"; "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Verification engine: bdd (reachability), bmc (SAT), induction \
-           (SAT k-induction), or explicit (BFS).")
+          ("Verification engine: " ^ engine_names ", "
+         ^ ", or an engine's long name."))
 
 let engines ?default () =
   let default =
@@ -35,8 +38,8 @@ let engines ?default () =
     value & opt string default
     & info [ "engines" ] ~docv:"LIST"
         ~doc:
-          "Comma-separated engines to try in order until one concludes: \
-           bdd, bmc, induction, explicit.")
+          ("Comma-separated engines to try in order until one concludes: "
+         ^ engine_names ", " ^ "."))
 
 let nodes ?(default = 4) () =
   Arg.(
@@ -65,58 +68,6 @@ let json () =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Also write the machine-readable results to FILE as JSON.")
-
-let partitioned () =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "partitioned" ]
-              ~doc:
-                "Compute BDD images over the partitioned transition relation \
-                 with early quantification (the default)." );
-          ( false,
-            info [ "monolithic" ]
-              ~doc:
-                "Compute BDD images against the monolithic transition \
-                 relation (the pre-optimization baseline)." );
-        ])
-
-let gc_watermark () =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "gc-watermark" ] ~docv:"N"
-        ~doc:
-          "Reclaim dead BDD nodes at fixpoint-iteration boundaries once N \
-           nodes were allocated since the last sweep; 0 disables the sweeps. \
-           Default: the engine's built-in watermark.")
-
-let no_restrict () =
-  Arg.(
-    value & flag
-    & info [ "no-restrict" ]
-        ~doc:
-          "Disable Coudert-Madre frontier minimization against the reached \
-           set before each BDD image step.")
-
-let reach_tuning_of ~partitioned ~gc_watermark ~no_restrict =
-  let base =
-    if partitioned then Symkit.Reach.default_tuning
-    else Symkit.Reach.monolithic_tuning
-  in
-  (match gc_watermark with
-  | Some n when n < 0 ->
-      prerr_endline "--gc-watermark: expected a non-negative node count";
-      exit 2
-  | _ -> ());
-  {
-    base with
-    Symkit.Reach.use_restrict = base.Symkit.Reach.use_restrict && not no_restrict;
-    gc_watermark =
-      Option.value gc_watermark ~default:base.Symkit.Reach.gc_watermark;
-  }
 
 let chaos () =
   Arg.(
@@ -154,8 +105,7 @@ let engine_of_name s =
   | Some e -> e
   | None ->
       prerr_endline
-        ("unknown --engine '" ^ s
-       ^ "' (expected bdd | bmc | induction | explicit)");
+        ("unknown --engine '" ^ s ^ "' (expected " ^ engine_names " | " ^ ")");
       exit 2
 
 let engine_ids_of_names s =

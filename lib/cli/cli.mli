@@ -14,8 +14,8 @@ val config : ?default:string -> unit -> string Cmdliner.Term.t
     feature set. *)
 
 val engine : ?default:string -> unit -> string Cmdliner.Term.t
-(** [-e]/[--engine]: one verification engine ([bdd], [bmc],
-    [induction], [explicit], or a long name). *)
+(** [-e]/[--engine]: one verification engine, by a short name of
+    {!Tta_model.Engine.short_names} or a long name. *)
 
 val engines : ?default:string -> unit -> string Cmdliner.Term.t
 (** [--engines]: a comma-separated engine list, tried in order by
@@ -34,27 +34,6 @@ val cache_max_entries : unit -> int option Cmdliner.Term.t
 
 val json : unit -> string option Cmdliner.Term.t
 (** [--json FILE]: machine-readable output. *)
-
-val partitioned : unit -> bool Cmdliner.Term.t
-(** [--partitioned] (default) / [--monolithic]: whether the BDD engine
-    folds images over the conjunctively partitioned transition relation
-    with early quantification, or uses one monolithic relprod. *)
-
-val gc_watermark : unit -> int option Cmdliner.Term.t
-(** [--gc-watermark N]: sweep dead BDD nodes at iteration boundaries
-    after [N] allocations ([0] disables); the engine's default when
-    omitted. *)
-
-val no_restrict : unit -> bool Cmdliner.Term.t
-(** [--no-restrict]: turn off Coudert–Madre frontier minimization. *)
-
-val reach_tuning_of :
-  partitioned:bool -> gc_watermark:int option -> no_restrict:bool ->
-  Symkit.Reach.tuning
-(** Combine the three flags into the BDD engine's tuning record
-    (starting from {!Symkit.Reach.default_tuning} or
-    {!Symkit.Reach.monolithic_tuning} according to [partitioned]).
-    Rejects a negative [gc_watermark] with exit code 2. *)
 
 val chaos : unit -> string option Cmdliner.Term.t
 (** [--chaos SEED[:SPEC]]: arm deterministic fault injection (see

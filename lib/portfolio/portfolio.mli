@@ -5,9 +5,9 @@
       the order given, until one reaches a conclusive verdict. The
       default chain is BDD fixpoint reachability, which proves and
       refutes with shortest traces, then SAT BMC, which answers the
-      rows whose fixpoint lies beyond the bound. Explicit BFS and
-      k-induction answered no committed row first, so they run only
-      when asked for by name.
+      rows whose fixpoint lies beyond the bound. Explicit BFS answered
+      no committed row first, so it runs only when asked for by
+      name.
     - {b matrix fan-out} ({!run_matrix}): a batch of configurations is
       drained by a work-stealing {!Pool} across
       [Domain.recommended_domain_count ()] workers.

@@ -100,7 +100,11 @@ let decode_request j =
         | Some s -> (
             match Tta_model.Engine.id_of_string s with
             | Some e -> Ok [ e ]
-            | None -> Error (Printf.sprintf "unknown engine %S" s))
+            | None ->
+                Error
+                  (Printf.sprintf "unknown engine %S (expected %s)" s
+                     (String.concat " | "
+                        (Tta_model.Engine.short_names @ [ "race" ]))))
       in
       let* depth = optional_int "depth" j in
       let* () =

@@ -145,12 +145,11 @@ let skip_result comp detail =
   }
 
 (* A request is session-eligible when a pool is attached and it asks
-   for exactly one SAT-backed engine: the warm-session fast path is an
-   alternative to the portfolio chain, not a link inside it. *)
-let session_engine t comp =
+   for SAT BMC alone: the warm-session fast path is an alternative to
+   the portfolio chain, not a link inside it. *)
+let session_pool t comp =
   match (t.sessions, comp.engines) with
-  | Some pool, [ ((Engine.Sat_bmc | Engine.Sat_induction) as e) ] ->
-      Some (pool, e)
+  | Some pool, [ Engine.Sat_bmc ] -> Some pool
   | _ -> None
 
 (* Run the request on a warm session of its family instead of a cold
@@ -158,7 +157,8 @@ let session_engine t comp =
    as the portfolio path. Conclusive verdicts still feed the shared
    cache, so session-path answers are visible to later cache
    lookups. *)
-let run_on_session t comp ~pool ~engine ~cancel =
+let run_on_session t comp ~pool ~cancel =
+  let engine = Engine.Sat_bmc in
   let t0 = now () in
   match
     Sessions.run pool ~engine ~cancel ~supervisor:t.supervisor
@@ -223,8 +223,8 @@ let execute t comp =
         (* Never ran — but an idle warm session of the family may
            already have certified depths worth reporting. *)
         let clean_depth =
-          match session_engine t comp with
-          | Some (pool, _) ->
+          match session_pool t comp with
+          | Some pool ->
               Sessions.peek_clean_depth pool ?family:comp.family comp.cfg
           | None -> -1
         in
@@ -239,8 +239,8 @@ let execute t comp =
             "service.run"
         in
         let r, attr =
-          match session_engine t comp with
-          | Some (pool, engine) -> run_on_session t comp ~pool ~engine ~cancel
+          match session_pool t comp with
+          | Some pool -> run_on_session t comp ~pool ~cancel
           | None ->
               (* [submit] already probed the cache for this request, so
                  the chain runs without it and its verdict is stored

@@ -32,7 +32,7 @@
     expired computation stops cooperatively.
 
     {b Warm sessions.} With a {!Sessions.t} pool attached, a request
-    for exactly one SAT-backed engine ([sat-bmc] or [sat-induction])
+    for SAT BMC alone ([sat-bmc], the one session-backed engine)
     skips the portfolio and runs on a pooled incremental solver
     session of its family — reusing BDD compilation, CNF unrolling and
     learned clauses from earlier near-miss requests. Verdicts are

@@ -15,7 +15,6 @@ type entry = {
       (** fingerprint of [model] — the state this entry actually
           encodes, verified against the request's at checkout *)
   model : Model.t;
-  enc : Enc.t;
   bmc : Bmc.t;
   mutable last_used : int;  (** pool sequence number at last check-in *)
 }
@@ -110,9 +109,8 @@ let checkout t ~family ~fp model =
   match cached with
   | Some e -> (e, true)
   | None ->
-      let enc = Enc.create (Bdd.create_manager ()) model in
-      let bmc = Bmc.create enc in
-      ({ family; fp; model; enc; bmc; last_used = 0 }, false)
+      let bmc = Bmc.create (Enc.create (Bdd.create_manager ()) model) in
+      ({ family; fp; model; bmc; last_used = 0 }, false)
 
 (* Drop the globally least-recently-used idle entry. Called with the
    lock held. *)
@@ -183,12 +181,10 @@ let delta before after =
     after
 
 let run t ~engine ?cancel ?obs ?family ?supervisor ?faults ~max_depth cfg =
-  (match engine with
-  | Engine.Sat_bmc | Engine.Sat_induction -> ()
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Sessions.run: %s is not session-backed"
-           (Engine.id_to_string engine)));
+  if engine <> Engine.Sat_bmc then
+    invalid_arg
+      (Printf.sprintf "Sessions.run: %s is not session-backed"
+         (Engine.id_to_string engine));
   let model = Tta_model.Build.model cfg in
   let fp = Model.fingerprint model in
   (* The override only names the bucket (e.g. a per-tenant key); the
@@ -220,59 +216,26 @@ let run t ~engine ?cancel ?obs ?family ?supervisor ?faults ~max_depth cfg =
         Fun.protect
           ~finally:(fun () -> Obs.stop sp)
           (fun () ->
-            match engine with
-            | Engine.Sat_bmc -> (
-                match
-                  Bmc.check_session ~max_depth ~cancel ~obs entry.bmc ~bad
-                with
-                | Bmc.Counterexample trace ->
-                    Engine.Violated { trace; model = entry.model }
-                | Bmc.No_counterexample (Some d) when d >= max_depth ->
-                    Engine.Holds
-                      {
-                        detail =
-                          Printf.sprintf "no counterexample up to depth %d" d;
-                      }
-                | Bmc.No_counterexample (Some d) ->
-                    (* Cancelled mid-scan: the bounded claim stops short
-                       of the requested bound — demoted exactly as the
-                       portfolio demotes a cancelled BMC run. *)
-                    Engine.Unknown
-                      {
-                        detail =
-                          Printf.sprintf
-                            "cancelled: no counterexample up to depth %d \
-                             (bound %d)"
-                            d max_depth;
-                      }
-                | Bmc.No_counterexample None ->
-                    Engine.Unknown
-                      { detail = "cancelled before depth 0 completed" })
-            | Engine.Sat_induction -> (
-                (* A fresh step session per request; the base case runs
-                   on the pooled warm BMC session (and deepens its memo
-                   for future BMC queries of the family). *)
-                let ind = Induction.create ~base:entry.bmc entry.enc ~bad in
-                let r =
-                  Induction.check_session ~max_k:max_depth ~cancel ~obs ind
-                in
-                flush obs (Induction.step_counters ind);
-                match r with
-                | Induction.Refuted trace ->
-                    Engine.Violated { trace; model = entry.model }
-                | Induction.Proved k ->
-                    Engine.Holds
-                      { detail = Printf.sprintf "k-inductive at k = %d" k }
-                | Induction.Unknown k ->
-                    Engine.Unknown
-                      {
-                        detail =
-                          Printf.sprintf
-                            "not k-inductive up to k = %d (and no \
-                             counterexample)"
-                            k;
-                      })
-            | _ -> assert false)
+            match Bmc.check_session ~max_depth ~cancel ~obs entry.bmc ~bad with
+            | Bmc.Counterexample trace ->
+                Engine.Violated { trace; model = entry.model }
+            | Bmc.No_counterexample (Some d) when d >= max_depth ->
+                Engine.Holds
+                  { detail = Printf.sprintf "no counterexample up to depth %d" d }
+            | Bmc.No_counterexample (Some d) ->
+                (* Cancelled mid-scan: the bounded claim stops short of
+                   the requested bound — demoted exactly as the
+                   portfolio demotes a cancelled BMC run. *)
+                Engine.Unknown
+                  {
+                    detail =
+                      Printf.sprintf
+                        "cancelled: no counterexample up to depth %d (bound \
+                         %d)"
+                        d max_depth;
+                  }
+            | Bmc.No_counterexample None ->
+                Engine.Unknown { detail = "cancelled before depth 0 completed" })
       with e ->
         (* A raised run may leave the session in an inconsistent state:
            never return it to the pool — but read off how far it got

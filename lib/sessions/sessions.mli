@@ -8,9 +8,7 @@
     same family (the service tier's "near-miss" traffic: same
     configuration, different bound) check out a warm {!Symkit.Bmc}
     session and reuse its BDD compilation, CNF unrolling, learned
-    clauses and per-property memo instead of starting cold;
-    k-induction requests warm-start their base case from the same
-    session.
+    clauses and per-property memo instead of starting cold.
 
     Entries are checked out {e exclusively} (a session is a
     single-threaded stateful object); concurrent requests for one
@@ -64,8 +62,9 @@ val run :
   max_depth:int ->
   Tta_model.Configs.t ->
   Tta_model.Engine.result * attribution
-(** Run a SAT-backed engine ([Sat_bmc] or [Sat_induction] — raises
-    [Invalid_argument] otherwise) for the configuration's safety
+(** Run SAT BMC ([engine] must be [Sat_bmc], the one session-backed
+    engine; anything else raises [Invalid_argument]) for the
+    configuration's safety
     property on a pooled session of its family. [family] overrides the
     pool {e bucket} only (e.g. a per-tenant key): every entry records
     the fingerprint of the model it actually encodes, and checkout

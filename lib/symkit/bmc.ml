@@ -77,8 +77,8 @@ let rec lit_of_bdd t ~step d =
 let assert_bdd t ~step d = Sat.add_clause t.solver [ lit_of_bdd t ~step d ]
 
 (* [with_init:false] omits the initial-state constraints at step 0,
-   which is what the inductive step of k-induction needs: a run
-   starting anywhere. *)
+   which is what {!Induction}'s safety and consecution queries need: a
+   run starting in any valid state. *)
 let create ?(with_init = true) enc =
   let solver = Sat.create () in
   let tv = Sat.new_var solver in
@@ -114,8 +114,7 @@ let extend t =
   List.iter (assert_bdd t ~step:from_step) t.trans_parts;
   assert_bdd t ~step:t.depth t.valid_cur
 
-let decode_model ?upto t =
-  let upto = match upto with Some u -> u | None -> t.depth in
+let decode t ~upto =
   let n = Enc.nbits t.enc in
   let model_enc = t.enc in
   (* One explicit model snapshot for the whole trace — no silently
@@ -148,7 +147,7 @@ let decode_model ?upto t =
 let check_at_depth t ~step ~bad_bdd =
   let bad_lit = lit_of_bdd t ~step bad_bdd in
   match Sat.solve ~assumptions:[ bad_lit ] t.solver with
-  | Sat.Sat -> Some (decode_model ~upto:step t)
+  | Sat.Sat -> Some (decode t ~upto:step)
   | Sat.Unsat -> None
 
 let check_at_current_depth t ~bad_bdd = check_at_depth t ~step:t.depth ~bad_bdd
@@ -159,13 +158,10 @@ let ensure_depth t d =
   done
 
 (* Flush the solver's effort counters into an observability track at
-   the end of a run (counter cells add, so base+step sessions of
-   k-induction accumulate into the same names). *)
-let flush_counters ?(prefix = "") t obs =
+   the end of a run. *)
+let flush_counters t obs =
   if Obs.enabled obs then
-    List.iter
-      (fun (name, v) -> Obs.incr_by obs (prefix ^ name) v)
-      (Sat.counters t.solver)
+    List.iter (fun (name, v) -> Obs.incr_by obs name v) (Sat.counters t.solver)
 
 let prop_of t ~bad =
   let key = Expr.to_string bad in
@@ -290,18 +286,13 @@ let enumerate ?(max_depth = 30) ?(limit = 16) enc ~bad =
       in
       collect [ first ] 1
 
-let solver_stats t = Sat.stats t.solver
 let counters t = Sat.counters t.solver
 let conflicts t = Sat.conflicts t.solver
 
-(* Typed lower-level access for the k-induction engine: enough surface
-   to allocate fresh literals, add clauses and solve under assumptions
-   in the session's solver, without handing out the solver itself. *)
+(* Lower-level access for {!Induction}: assert predicates, build
+   assumption literals and solve under them in the session's solver,
+   without handing out the solver itself. *)
 let depth t = t.depth
-let step_vars t ~step = bits_at t step
 let assert_pred t ~step d = assert_bdd t ~step d
 let pred_lit t ~step d = lit_of_bdd t ~step d
-let fresh_lit t = Sat.pos (Sat.new_var t.solver)
-let add_clause t lits = Sat.add_clause t.solver lits
 let solve_assuming t assumptions = Sat.solve ~assumptions t.solver
-let decode ?upto t = decode_model ?upto t

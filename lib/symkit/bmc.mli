@@ -22,20 +22,12 @@ type t
 
 val create : ?with_init:bool -> Enc.t -> t
 (** Assert step 0: domain validity and (unless [with_init:false], which
-    the inductive step of k-induction uses) the initial-state
-    constraints. *)
+    {!Induction.check}'s safety and consecution queries use: a run
+    starting in any valid state) the initial-state constraints. *)
 
 val extend : t -> unit
 (** Unroll one more step: fresh bit variables, the transition
     constraints from the previous step, and the new step's validity. *)
-
-val ensure_depth : t -> int -> unit
-(** {!extend} until the unrolling covers the given depth. *)
-
-val check_at_current_depth : t -> bad_bdd:Bdd.t -> Model.state array option
-(** Is a state satisfying [bad_bdd] (a predicate over current bits)
-    reachable in exactly the current depth? Returns the full trace on
-    success. *)
 
 val check_session :
   ?max_depth:int -> ?cancel:(unit -> bool) -> ?obs:Obs.t -> t ->
@@ -67,8 +59,6 @@ val enumerate :
     blocking each trace and re-solving; at most [limit] traces, empty
     when the property holds to the bound. *)
 
-val solver_stats : t -> string
-
 val counters : t -> (string * int) list
 (** The session solver's [sat.*] counters (cumulative over the
     session's whole life, not per query — diff two snapshots for
@@ -85,21 +75,13 @@ val clean_depth : t -> bad:Expr.t -> int
     so an interrupted or abandoned run can still report how far it
     got (the service's degraded verdicts). *)
 
-val flush_counters : ?prefix:string -> t -> Obs.t -> unit
-(** Add the session solver's [sat.*] counters (optionally name-prefixed)
-    to an observability track — called once at the end of a run. *)
+(** {1 Lower-level access (used by {!Induction})}
 
-(** {1 Typed lower-level access (used by the k-induction engine)}
-
-    This replaces the old [solver : t -> Sat.t] escape hatch: callers
-    get fresh literals, clause addition and assumption solving in the
+    Predicates, assumption literals and assumption solving in the
     session's solver, but never the solver itself. *)
 
 val depth : t -> int
 (** Current unrolling depth (number of {!extend}s performed). *)
-
-val step_vars : t -> step:int -> int array
-(** The SAT variable of every state bit at a step. *)
 
 val assert_pred : t -> step:int -> Bdd.t -> unit
 (** Permanently assert a predicate (a BDD over current/primed encoder
@@ -109,18 +91,6 @@ val pred_lit : t -> step:int -> Bdd.t -> Sat.lit
 (** A literal equivalent to the predicate at the step, for use as an
     assumption. *)
 
-val fresh_lit : t -> Sat.lit
-(** A positive literal of a fresh solver variable. *)
-
-val add_clause : t -> Sat.lit list -> unit
-(** Add a clause over literals built from {!step_vars}, {!pred_lit} and
-    {!fresh_lit}. *)
-
 val solve_assuming : t -> Sat.lit list -> Sat.result
 (** Solve the session's clause set under assumptions (learned clauses
     are retained, as with {!Sat.solve}). *)
-
-val decode : ?upto:int -> t -> Model.state array
-(** Read back the trace (steps 0..[upto], default the full unrolling)
-    after a satisfiable query, from the solver's explicit model
-    snapshot. *)

@@ -1,136 +1,37 @@
-(* K-induction: unbounded SAT-based safety proofs.
+(* One-step induction of a supplied invariant, on two {!Bmc} sessions.
 
-   Two incremental unrolling sessions cooperate. The BASE session (with
-   initial-state constraints) refutes the property if a bad state is
-   reachable within k steps — it is queried through {!Bmc.check_session},
-   so it can be a *shared warm session* from the service tier's pool:
-   depths it already verified clean for this property are answered from
-   the memo and k-induction warm-starts instead of re-encoding. The STEP
-   session (without initial constraints, always owned by this session)
-   asks whether a run of k+1 good states can be extended to a bad one;
-   if that is unsatisfiable, the property is k-inductive and holds at
-   every depth. Simple-path constraints (all states of the step run
-   pairwise distinct) make the method complete for finite systems: k
-   eventually exceeds the longest simple path of good states. *)
+   The obligations are discharged cheapest first: initiation and safety
+   are single-state queries, while consecution needs one unrolled
+   transition, by far the costliest query on the TTA models (at 3
+   nodes, under 0.3 s to refute safety on an unsafe configuration's
+   fixpoint, about 20 s to prove consecution on a safe one's). *)
 
-type result =
-  | Proved of int  (** the property is k-inductive at this k *)
-  | Refuted of Model.state array
-  | Unknown of int  (** neither verdict up to this k *)
+type obligation = Initiation | Safety | Consecution
+type result = Inductive | Fails of obligation
 
-type session = {
-  enc : Enc.t;
-  base : Bmc.t;
-  step : Bmc.t;
-  bad : Expr.t;
-  bad_bdd : Bdd.t;
-  good_bdd : Bdd.t;
-}
+let result_to_string = function
+  | Inductive -> "inductive"
+  | Fails Initiation -> "fails initiation"
+  | Fails Safety -> "fails safety"
+  | Fails Consecution -> "fails consecution"
 
-let create ?base enc ~bad =
-  let bad_bdd = Enc.pred enc bad in
-  let good_bdd = Bdd.dnot (Enc.mgr enc) bad_bdd in
-  let base = match base with Some b -> b | None -> Bmc.create enc in
-  let step = Bmc.create ~with_init:false enc in
-  (* Goodness of the run's prefix is asserted as the step session grows
-     (see [extend]); at k = 0 the step query correctly asks whether the
-     property is a tautology over valid states. *)
-  { enc; base; step; bad; bad_bdd; good_bdd }
+(* An obligation holds iff no state satisfies the session's constraints
+   together with the assumptions. *)
+let unsat s assumptions = Bmc.solve_assuming s assumptions = Sat.Unsat
 
-(* Pairwise distinctness of step states [i] and [j]: at least one state
-   bit differs. One fresh variable per bit encodes the difference. *)
-let assert_distinct s i j =
-  let bi = Bmc.step_vars s.step ~step:i in
-  let bj = Bmc.step_vars s.step ~step:j in
-  let diff_lits =
-    Array.to_list
-      (Array.mapi
-         (fun b vi ->
-           let vj = bj.(b) in
-           let d = Bmc.fresh_lit s.step in
-           (* d -> (vi <> vj); the reverse implication is not needed
-              for "at least one differs". *)
-           Bmc.add_clause s.step
-             [ Sat.negate d; Sat.pos vi; Sat.pos vj ];
-           Bmc.add_clause s.step
-             [ Sat.negate d; Sat.neg vi; Sat.neg vj ];
-           d)
-         bi)
-  in
-  Bmc.add_clause s.step diff_lits
-
-(* Grow the step session from depth k to k+1 and maintain its
-   invariants: state k is good, and the new state differs from every
-   earlier one. The base session grows lazily inside
-   [Bmc.check_session] instead of in lockstep, so a warm (deeper) base
-   is never forced to match k. *)
-let extend s =
-  Bmc.extend s.step;
-  let k = Bmc.depth s.step in
-  Bmc.assert_pred s.step ~step:(k - 1) s.good_bdd;
-  for i = 0 to k - 1 do
-    assert_distinct s i k
-  done
-
-let check_session ?(max_k = 20) ?(cancel = fun () -> false)
-    ?(obs = Obs.disabled) s =
-  let k_g = Obs.gauge obs "induction.k" in
-  let rec go () =
-    let k = Bmc.depth s.step in
-    if cancel () then begin
-      Obs.instant obs "induction.cancelled";
-      Unknown (k - 1)
-    end
+let check enc ~inv ~bad =
+  let init = Bmc.create enc in
+  if not (unsat init [ Sat.negate (Bmc.pred_lit init ~step:0 inv) ]) then
+    Fails Initiation
+  else begin
+    let step = Bmc.create ~with_init:false enc in
+    Bmc.assert_pred step ~step:0 inv;
+    if not (unsat step [ Bmc.pred_lit step ~step:0 (Enc.pred enc bad) ]) then
+      Fails Safety
     else begin
-      Obs.record k_g k;
-      (* Base: bad reachable within k steps from an initial state? A
-         warm base answers memoized depths for free and only solves the
-         frontier. *)
-      let base_r =
-        Obs.with_span obs "induction.base_case" (fun () ->
-            Bmc.check_session ~max_depth:k ~cancel s.base ~bad:s.bad)
-      in
-      match base_r with
-      | Bmc.Counterexample trace -> Refuted trace
-      | Bmc.No_counterexample completed ->
-          if completed <> Some k then begin
-            (* Cancelled mid-scan: the base claim stops short of k, so
-               no inductive conclusion at k is justified. *)
-            Obs.instant obs "induction.cancelled";
-            Unknown (k - 1)
-          end
-          else begin
-            (* Step: can k good states (pairwise distinct) be followed
-               by a bad one? *)
-            let step_r =
-              Obs.with_span obs "induction.step_case" (fun () ->
-                  let frontier_bad =
-                    Bmc.pred_lit s.step ~step:k s.bad_bdd
-                  in
-                  Bmc.solve_assuming s.step [ frontier_bad ])
-            in
-            match step_r with
-            | Sat.Unsat -> Proved k
-            | Sat.Sat ->
-                if k >= max_k then Unknown k
-                else begin
-                  Obs.with_span obs "induction.unroll" (fun () -> extend s);
-                  go ()
-                end
-          end
+      Bmc.extend step;
+      if unsat step [ Sat.negate (Bmc.pred_lit step ~step:1 inv) ] then
+        Inductive
+      else Fails Consecution
     end
-  in
-  go ()
-
-let step_counters s = Bmc.counters s.step
-
-let flush_counters s obs =
-  (* Both sessions' effort, accumulated into the same sat.* names. *)
-  Bmc.flush_counters s.base obs;
-  Bmc.flush_counters s.step obs
-
-let check ?max_k ?cancel ?(obs = Obs.disabled) enc ~bad =
-  let s = create enc ~bad in
-  let result = check_session ?max_k ?cancel ~obs s in
-  flush_counters s obs;
-  result
+  end

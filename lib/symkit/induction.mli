@@ -1,52 +1,28 @@
-(** K-induction: unbounded SAT-based safety proofs.
+(** SAT check that a supplied invariant is inductive and safe.
 
-    Complements {!Bmc} (which only refutes) and {!Reach} (whose proofs
-    need the reachable set to have a small BDD): if no bad state is
-    reachable within [k] steps {e and} every run of [k] pairwise
-    distinct good states can only continue into a good state, the
-    property holds at every depth. The simple-path (distinctness)
-    constraints make the method complete for finite systems, though the
-    required [k] may be impractically large — {!result} is honest about
-    that. *)
+    A predicate [I] over current-state bits (typically the BDD
+    reachability fixpoint of {!Reach.reachable_set}) certifies a safety
+    property when three obligations hold over the model's valid states:
+    initiation (Init ⇒ I), safety (I ∧ Bad = ⊥) and consecution
+    (I ∧ T ⇒ I′). Each is discharged by the CDCL solver on a {!Bmc}
+    session, so a "holds" verdict of the BDD engine gets a second,
+    independent kernel. Taking [I = ¬Bad] asks whether the property is
+    inductive on its own (1-induction without strengthening). *)
+
+type obligation = Initiation | Safety | Consecution
 
 type result =
-  | Proved of int  (** the property is k-inductive at this k *)
-  | Refuted of Model.state array
-      (** counterexample from the base case (same quality as {!Bmc}) *)
-  | Unknown of int  (** neither verdict up to this k *)
+  | Inductive  (** all three obligations hold *)
+  | Fails of obligation
+      (** the first obligation, in the order initiation, safety,
+          consecution, that has a counterexample state (pair) *)
 
-type session
-(** A resumable k-induction session: a base {!Bmc} session (which may
-    be shared and warm) plus an owned step session carrying the
-    simple-path constraints. *)
+val check : Enc.t -> inv:Bdd.t -> bad:Expr.t -> result
+(** Check the obligations in that order, stopping at the first that
+    fails. [inv] must be a diagram of the encoder's manager over
+    current bits; it is not rooted, so no BDD garbage collection may
+    run while the check does (none does: only {!Reach} collects). *)
 
-val create : ?base:Bmc.t -> Enc.t -> bad:Expr.t -> session
-(** Build a session. [base] (default a fresh one) is a BMC session
-    {e with} initial-state constraints over the same encoder; passing a
-    pooled warm session makes the base case reuse its unrolling,
-    learned clauses and per-property memo — k-induction warm-starts
-    from BMC instead of re-encoding. *)
-
-val check_session :
-  ?max_k:int -> ?cancel:(unit -> bool) -> ?obs:Obs.t -> session -> result
-(** Run the induction loop on the session. [cancel] is polled once per
-    k (cooperative cancellation, used by the portfolio's engine
-    racing); when it fires the result is {!Unknown} at the last
-    completed k. [obs] (default {!Obs.disabled}) receives an
-    [induction.base_case]/[induction.step_case] span pair per induction
-    step and the [induction.k] gauge. *)
-
-val step_counters : session -> (string * int) list
-(** The owned step session's [sat.*] counters (the base session's are
-    read by the caller, who may share it). *)
-
-val flush_counters : session -> Obs.t -> unit
-(** Add both sessions' [sat.*] counters to an observability track
-    (cumulative; diff snapshots for per-query effort). *)
-
-val check :
-  ?max_k:int -> ?cancel:(unit -> bool) -> ?obs:Obs.t -> Enc.t -> bad:Expr.t ->
-  result
-(** Cold-start convenience: {!create} a fresh session, run
-    {!check_session} once and flush both sessions' [sat.*] counters
-    into [obs]. *)
+val result_to_string : result -> string
+(** ["inductive"], or ["fails initiation"]/["fails safety"]/
+    ["fails consecution"]. *)

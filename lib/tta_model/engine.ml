@@ -1,22 +1,19 @@
 (* The unified verification-engine interface: one [run] signature over
-   the four engines, returning a verdict plus an open counter set. *)
+   the three engines, returning a verdict plus an open counter set. *)
 
 open Symkit
 
-type id = Bdd_reach | Sat_bmc | Sat_induction | Explicit_bfs
+type id = Bdd_reach | Sat_bmc | Explicit_bfs
 
 let id_to_string = function
   | Bdd_reach -> "bdd-reachability"
   | Sat_bmc -> "sat-bmc"
-  | Sat_induction -> "sat-k-induction"
   | Explicit_bfs -> "explicit-bfs"
 
-let id_of_string = function
-  | "bdd" | "bdd-reachability" -> Some Bdd_reach
-  | "bmc" | "sat-bmc" -> Some Sat_bmc
-  | "induction" | "sat-k-induction" -> Some Sat_induction
-  | "explicit" | "explicit-bfs" -> Some Explicit_bfs
-  | _ -> None
+let short_name = function
+  | Bdd_reach -> "bdd"
+  | Sat_bmc -> "bmc"
+  | Explicit_bfs -> "explicit"
 
 type verdict =
   | Holds of { detail : string }
@@ -33,7 +30,6 @@ type t = {
     ?cancel:(unit -> bool) ->
     ?obs:Obs.t ->
     ?max_depth:int ->
-    ?reach_tuning:Reach.tuning ->
     Configs.t ->
     result;
 }
@@ -50,7 +46,7 @@ let flush obs pairs = List.iter (fun (n, v) -> Obs.incr_by obs n v) pairs
    collector serves as the counter store and is dropped once the totals
    are read), wrap the run in a root span, and account the GC. *)
 let instrumented ~name impl ?(cancel = fun () -> false) ?obs ?(max_depth = 24)
-    ?(reach_tuning = Reach.default_tuning) cfg =
+    cfg =
   let obs =
     match obs with
     | Some o when Obs.enabled o -> o
@@ -63,7 +59,7 @@ let instrumented ~name impl ?(cancel = fun () -> false) ?obs ?(max_depth = 24)
      next attempt in the trace. *)
   let verdict =
     Fun.protect ~finally:(fun () -> Obs.stop sp) (fun () ->
-        impl ~cancel ~obs ~max_depth ~reach_tuning cfg)
+        impl ~cancel ~obs ~max_depth cfg)
   in
   let gc1 = Gc.quick_stat () in
   Obs.incr_by obs "gc.minor_collections"
@@ -83,14 +79,14 @@ let flush_bdd_gauges obs mgr =
   Obs.set_max obs "bdd.live_nodes" (Bdd.live_nodes mgr);
   Obs.set_max obs "bdd.peak_nodes" (Bdd.peak_nodes mgr)
 
-let run_bdd ~cancel ~obs ~max_depth ~reach_tuning cfg =
+let run_bdd ~cancel ~obs ~max_depth cfg =
   let model = Build.model cfg in
   let mgr = Bdd.create_manager () in
   let enc = Enc.create mgr model in
   let verdict =
     match
-      Reach.check ~max_iterations:max_depth ~cancel ~obs ~tuning:reach_tuning
-        enc ~bad:(bad_prop cfg)
+      Reach.check ~max_iterations:max_depth ~cancel ~obs enc
+        ~bad:(bad_prop cfg)
     with
     | Reach.Safe stats ->
         Holds
@@ -112,7 +108,7 @@ let run_bdd ~cancel ~obs ~max_depth ~reach_tuning cfg =
   flush_bdd_gauges obs mgr;
   verdict
 
-let run_bmc ~cancel ~obs ~max_depth ~reach_tuning:_ cfg =
+let run_bmc ~cancel ~obs ~max_depth cfg =
   let model = Build.model cfg in
   let mgr = Bdd.create_manager () in
   let enc = Enc.create mgr model in
@@ -127,28 +123,7 @@ let run_bmc ~cancel ~obs ~max_depth ~reach_tuning:_ cfg =
   flush obs (Bdd.counters mgr);
   verdict
 
-let run_induction ~cancel ~obs ~max_depth ~reach_tuning:_ cfg =
-  let model = Build.model cfg in
-  let mgr = Bdd.create_manager () in
-  let enc = Enc.create mgr model in
-  let verdict =
-    match Induction.check ~max_k:max_depth ~cancel ~obs enc ~bad:(bad_prop cfg)
-    with
-    | Induction.Refuted trace -> Violated { trace; model }
-    | Induction.Proved k ->
-        Holds { detail = Printf.sprintf "k-inductive at k = %d" k }
-    | Induction.Unknown k ->
-        Unknown
-          {
-            detail =
-              Printf.sprintf
-                "not k-inductive up to k = %d (and no counterexample)" k;
-          }
-  in
-  flush obs (Bdd.counters mgr);
-  verdict
-
-let run_explicit ~cancel ~obs ~max_depth ~reach_tuning:_ cfg =
+let run_explicit ~cancel ~obs ~max_depth cfg =
   let ctx = Exec.make_ctx cfg in
   (* The executable twin's own model instance: structurally equal to
      [Build.model cfg], and the one its states index into. *)
@@ -185,14 +160,17 @@ let all =
   [
     make Bdd_reach "symbolic fixpoint reachability over BDDs" run_bdd;
     make Sat_bmc "SAT bounded model checking (incremental unrolling)" run_bmc;
-    make Sat_induction "SAT k-induction with simple-path constraints"
-      run_induction;
     make Explicit_bfs "explicit-state BFS over the executable twin"
       run_explicit;
   ]
 
 let get id = List.find (fun e -> e.id = id) all
-let of_string s = Option.map get (id_of_string s)
+let short_names = List.map (fun e -> short_name e.id) all
+
+let of_string s =
+  List.find_opt (fun e -> s = e.name || s = short_name e.id) all
+
+let id_of_string s = Option.map (fun e -> e.id) (of_string s)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-independent helpers *)

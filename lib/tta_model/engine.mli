@@ -1,25 +1,25 @@
 (** The unified verification-engine interface.
 
     Every engine — BDD fixpoint reachability, SAT bounded model
-    checking, SAT k-induction and the explicit-state BFS cross-check —
+    checking and the explicit-state BFS cross-check —
     is exposed as one value of type {!t} with a common [run] signature,
     so the portfolio, the CLIs and the benchmark harness drive all of
     them through the same code path. Each run returns its {!verdict}
     together with an open-ended counter set; passing [?obs] additionally
     streams spans and metrics into a live {!Obs.Collector} track. *)
 
-type id = Bdd_reach | Sat_bmc | Sat_induction | Explicit_bfs
+type id = Bdd_reach | Sat_bmc | Explicit_bfs
 
 val id_to_string : id -> string
 (** The engine's long name, e.g. ["bdd-reachability"]. *)
 
 val id_of_string : string -> id option
-(** Accepts both the short CLI spellings ([bdd], [bmc], [induction],
-    [explicit]) and the long names of {!id_to_string}. *)
+(** Accepts both the short names of {!short_names} and the long names
+    of {!id_to_string}. *)
 
 type verdict =
   | Holds of { detail : string }
-      (** proved safe (BDD fixpoint, k-induction, exhaustive BFS) or no
+      (** proved safe (BDD fixpoint, exhaustive BFS) or no
           counterexample up to the bound (BMC) *)
   | Violated of { trace : Symkit.Model.state array; model : Symkit.Model.t }
   | Unknown of { detail : string }
@@ -42,21 +42,17 @@ type t = {
     ?cancel:(unit -> bool) ->
     ?obs:Obs.t ->
     ?max_depth:int ->
-    ?reach_tuning:Symkit.Reach.tuning ->
     Configs.t ->
     result;
       (** Check the paper's safety property against a configuration.
           [max_depth] (default 24) bounds BMC unrolling / BDD fixpoint
-          iterations / induction k / BFS depth. [cancel] is the
+          iterations / BFS depth. [cancel] is the
           cooperative-cancellation hook polled by every engine's outer
           loop; a cancelled run returns its engine's inconclusive
           variant. [obs] names the track spans and metrics are written
           to; when absent (or {!Obs.disabled}), counters are still
           collected — on a private track that is dropped once
-          [result.counters] has been read — but no trace is kept.
-          [reach_tuning] (default {!Symkit.Reach.default_tuning})
-          is the BDD engine's image-computation tuning; the other
-          engines ignore it. *)
+          [result.counters] has been read — but no trace is kept. *)
 }
 
 val all : t list
@@ -64,8 +60,13 @@ val all : t list
 
 val get : id -> t
 
+val short_names : string list
+(** The short spellings of {!all}, in order: [["bdd"; "bmc";
+    "explicit"]] — the one source of every "accepted engines" list in
+    help texts and error messages. *)
+
 val of_string : string -> t option
-(** [of_string s] = [Option.map get (id_of_string s)]. *)
+(** The engine named by a short or long name. *)
 
 val explicit_max_states : int
 (** Memory bound of the explicit-state engine: past it the verdict

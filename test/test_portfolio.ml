@@ -376,8 +376,7 @@ let test_cancel_stops_engines () =
           Alcotest.failf "%s: expected Unknown after cancel, got %s"
             (Engine.id_to_string engine)
             (verdict_kind v))
-    [ Engine.Bdd_reach; Engine.Explicit_bfs; Engine.Sat_induction;
-      Engine.Sat_bmc ]
+    [ Engine.Bdd_reach; Engine.Explicit_bfs; Engine.Sat_bmc ]
 
 let test_race_external_cancel () =
   (* The serving layer's hook: with [?cancel] permanently raised, the

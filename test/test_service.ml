@@ -244,7 +244,8 @@ let test_response_roundtrip () =
         {
           id = Some "e";
           code = Protocol.code_bad_request;
-          reason = "unknown engine \"vdd\"";
+          reason =
+            "unknown engine \"vdd\" (expected bdd | bmc | explicit | race)";
         };
       Protocol.Error
         {
@@ -279,6 +280,13 @@ let test_request_validation () =
   expect_error "missing config" {|{"id":"r"}|};
   expect_error "unknown config" {|{"id":"r","config":"imaginary"}|};
   expect_error "unknown engine" {|{"id":"r","config":"passive","engine":"vdd"}|};
+  (* The reason lists the accepted engines, from the registry; the
+     removed k-induction engine is one of the unknown names. *)
+  Alcotest.(check (result reject string)) "induction is not an engine"
+    (Error "unknown engine \"induction\" (expected bdd | bmc | explicit | race)")
+    (Result.map ignore
+       (Protocol.decode_request_line
+          {|{"id":"r","config":"passive","engine":"induction"}|}));
   expect_error "bad nodes" {|{"id":"r","config":"passive","nodes":1}|};
   (* The cluster size is bounded: a model is built on the select loop
      and kept for the process's life. *)

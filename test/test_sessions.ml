@@ -89,9 +89,6 @@ let check_matrix_equality ~engine ~max_depth =
 let test_bmc_matrix_equality () =
   check_matrix_equality ~engine:Engine.Sat_bmc ~max_depth:12
 
-let test_induction_matrix_equality () =
-  check_matrix_equality ~engine:Engine.Sat_induction ~max_depth:8
-
 let test_warm_deeper_bound_equality () =
   (* The near-miss pattern the pool exists for: the same family asked
      at increasing bounds. Every warm answer must equal a cold run at
@@ -382,8 +379,6 @@ let () =
         [
           Alcotest.test_case "bmc matrix, cold and warm passes" `Quick
             test_bmc_matrix_equality;
-          Alcotest.test_case "induction matrix, cold and warm passes" `Quick
-            test_induction_matrix_equality;
           Alcotest.test_case "increasing bounds on one warm session" `Quick
             test_warm_deeper_bound_equality;
         ] );

@@ -541,42 +541,64 @@ let test_trace_validate_rejects () =
   | Ok () -> Alcotest.fail "expected invalid trace"
 
 (* ------------------------------------------------------------------ *)
-(* K-induction. *)
+(* One-step induction of a supplied invariant. *)
+
+let induction model ~inv ~bad =
+  let enc = Enc.create (Bdd.create_manager ()) model in
+  Induction.check enc ~inv:(inv enc) ~bad
+
+let fixpoint enc = Reach.reachable_set enc
+let pred e enc = Enc.pred enc e
+let expect_induction name expected got =
+  Alcotest.(check string) name
+    (Induction.result_to_string expected)
+    (Induction.result_to_string got)
 
 let test_induction_proves_saturating () =
-  let enc = Enc.create (Bdd.create_manager ()) saturating_model in
-  match Induction.check ~max_k:10 enc ~bad:(c_is 5) with
-  | Induction.Proved k -> Alcotest.(check bool) "small k" true (k <= 6)
-  | Induction.Refuted _ -> Alcotest.fail "spurious refutation"
-  | Induction.Unknown k -> Alcotest.failf "inconclusive at k=%d" k
+  expect_induction "fixpoint {0..3}" Induction.Inductive
+    (induction saturating_model ~inv:fixpoint ~bad:(c_is 5))
 
 let test_induction_refutes_counter () =
-  let enc = Enc.create (Bdd.create_manager ()) counter_model in
-  match Induction.check ~max_k:10 enc ~bad:(c_is 5) with
-  | Induction.Refuted trace ->
-      Alcotest.(check int) "minimal trace" 6 (Array.length trace);
-      (match Trace.validate counter_model trace with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "invalid trace: %s" e)
-  | _ -> Alcotest.fail "expected refutation"
+  (* The wrapping counter's fixpoint is every value, 5 included. *)
+  expect_induction "fixpoint holds c = 5" (Induction.Fails Induction.Safety)
+    (induction counter_model ~inv:fixpoint ~bad:(c_is 5))
 
 let test_induction_proves_mutex () =
-  let enc = Enc.create (Bdd.create_manager ()) mutex_model in
-  match Induction.check ~max_k:12 enc ~bad:both_critical with
-  | Induction.Proved _ -> ()
-  | Induction.Refuted trace ->
-      Alcotest.failf "spurious refutation:\n%s"
-        (Trace.to_string mutex_model trace)
-  | Induction.Unknown k -> Alcotest.failf "inconclusive at k=%d" k
+  expect_induction "mutex fixpoint" Induction.Inductive
+    (induction mutex_model ~inv:fixpoint ~bad:both_critical)
 
 let test_induction_tautology_at_k0 () =
-  (* A property true of every valid state is 0-inductive. *)
-  let enc = Enc.create (Bdd.create_manager ()) saturating_model in
+  (* A property true of every valid state is inductive unstrengthened:
+     no state, let alone a transition, can break it. *)
   let open Expr in
   let open Expr.Syntax in
-  match Induction.check ~max_k:3 enc ~bad:(cur "c" > int 7) with
-  | Induction.Proved 0 -> ()
-  | _ -> Alcotest.fail "expected a proof at k=0"
+  let bad = cur "c" > int 7 in
+  expect_induction "not bad" Induction.Inductive
+    (induction saturating_model ~inv:(pred (not_ bad)) ~bad)
+
+(* Each invariant below fails exactly one obligation on the saturating
+   counter (0 -> 1 -> 2 -> 3 -> 3; 4..7 are fixed points), so the
+   verdict names the obligation, not just the first in the order. *)
+let test_induction_fails_initiation () =
+  (* {3}: safe and closed, but excludes the initial c = 0. *)
+  expect_induction "c = 3" (Induction.Fails Induction.Initiation)
+    (induction saturating_model ~inv:(pred (c_is 3)) ~bad:(c_is 5))
+
+let test_induction_fails_safety () =
+  (* {0..3, 5}: initial and closed, but holds the bad c = 5. *)
+  let open Expr in
+  let open Expr.Syntax in
+  expect_induction "c <= 3 or c = 5" (Induction.Fails Induction.Safety)
+    (induction saturating_model
+       ~inv:(pred ((cur "c" <= int 3) || c_is 5))
+       ~bad:(c_is 5))
+
+let test_induction_fails_consecution () =
+  (* {0..2}: initial and safe, but 2 steps to 3. *)
+  let open Expr in
+  let open Expr.Syntax in
+  expect_induction "c <= 2" (Induction.Fails Induction.Consecution)
+    (induction saturating_model ~inv:(pred (cur "c" <= int 2)) ~bad:(c_is 5))
 
 (* ------------------------------------------------------------------ *)
 (* CTL. *)
@@ -843,6 +865,12 @@ let suite =
       test_induction_proves_mutex;
     Alcotest.test_case "k-induction tautology at k=0" `Quick
       test_induction_tautology_at_k0;
+    Alcotest.test_case "k-induction I fails initiation only" `Quick
+      test_induction_fails_initiation;
+    Alcotest.test_case "k-induction I fails safety only" `Quick
+      test_induction_fails_safety;
+    Alcotest.test_case "k-induction I fails consecution only" `Quick
+      test_induction_fails_consecution;
     Alcotest.test_case "ctl: counter" `Quick test_ctl_counter;
     Alcotest.test_case "ctl: saturating" `Quick test_ctl_saturating;
     Alcotest.test_case "ctl: mutex" `Quick test_ctl_mutex;

@@ -355,31 +355,49 @@ let test_unlimited_budget_also_violated () =
         (Array.length trace <= Array.length budget_trace)
   | _ -> Alcotest.fail "expected a violation"
 
-(* K-induction as a third independent engine: it must refute the
-   full-shifting configuration with the same minimal trace, and — an
-   honest negative result — the safe property is not k-inductive at
-   practical k (the BDD fixpoint is the proving engine of record). *)
-let test_k_induction_on_tta () =
-  let cfg = Tta_model.Configs.full_shifting ~nodes () in
-  let enc = enc_of cfg in
-  (match
-     Induction.check ~max_k:14 enc ~bad:(Tta_model.Props.integrated_node_frozen ~nodes)
-   with
-  | Induction.Refuted trace ->
-      Alcotest.(check int) "same minimal length as BDD/BMC" 12
-        (Array.length trace)
-  | _ -> Alcotest.fail "expected a refutation");
-  let enc2 = enc_of (Tta_model.Configs.passive ~nodes ()) in
-  match
-    Induction.check ~max_k:6 enc2
-      ~bad:(Tta_model.Props.integrated_node_frozen ~nodes)
-  with
-  | Induction.Unknown _ -> ()
-  | Induction.Proved k ->
-      (* Would be a pleasant surprise; record it loudly if it starts
-         happening after model changes. *)
-      Alcotest.failf "passive unexpectedly k-inductive at k=%d" k
-  | Induction.Refuted _ -> Alcotest.fail "spurious refutation"
+(* E9's checked claim: the safe configurations' property is not
+   1-inductive on its own, but the BDD fixpoint is an inductive
+   strengthening of it, discharged by the SAT solver; the unsafe
+   configurations' fixpoint holds a bad state. E5 keeps its three
+   participants, as in the Section 5 matrix (two nodes are safe). *)
+let test_induction_on_tta () =
+  let check cfg inv =
+    let enc = enc_of cfg in
+    let bad =
+      Tta_model.Props.integrated_node_frozen ~nodes:cfg.Tta_model.Configs.nodes
+    in
+    let inv =
+      match inv with
+      | `Fixpoint -> Reach.reachable_set enc
+      | `Not_bad -> Bdd.dnot (Enc.mgr enc) (Enc.pred enc bad)
+    in
+    Induction.result_to_string (Induction.check enc ~inv ~bad)
+  in
+  let expect name cfg inv expected =
+    Alcotest.(check string) name
+      (Induction.result_to_string expected)
+      (check cfg inv)
+  in
+  List.iter
+    (fun (name, cfg) ->
+      expect (name ^ " fixpoint") cfg `Fixpoint Induction.Inductive;
+      expect (name ^ " not bad") cfg `Not_bad
+        (Induction.Fails Induction.Consecution))
+    [
+      ("E1", Tta_model.Configs.passive ~nodes ());
+      ("E2", Tta_model.Configs.time_windows ~nodes ());
+      ("E3", Tta_model.Configs.small_shifting ~nodes ());
+    ];
+  List.iter
+    (fun (name, cfg) ->
+      expect (name ^ " fixpoint") cfg `Fixpoint
+        (Induction.Fails Induction.Safety))
+    [
+      ("E4", Tta_model.Configs.full_shifting ~nodes ());
+      ( "E5",
+        Tta_model.Configs.full_shifting ~nodes:3
+          ~forbid_cold_start_duplication:true () );
+    ]
 
 (* The SMV export of the paper's model round-trips its key structure. *)
 let test_smv_export_of_tta () =
@@ -636,7 +654,8 @@ let () =
             test_forbid_cold_start_duplication;
           Alcotest.test_case "unlimited budget" `Quick
             test_unlimited_budget_also_violated;
-          Alcotest.test_case "k-induction engine" `Quick test_k_induction_on_tta;
+          Alcotest.test_case "E9 invariant check E1-E5" `Quick
+            test_induction_on_tta;
           Alcotest.test_case "smv export" `Quick test_smv_export_of_tta;
           Alcotest.test_case "counterexample enumeration" `Quick
             test_enumerate_counterexamples;
