@@ -15,7 +15,7 @@
    count and the checkout's commit, and exits 1 unless every acceptance
    check of that artifact holds:
 
-     dune exec bench/main.exe -- bdd|sessions|synth|cluster|resilience|chaos *)
+     dune exec bench/main.exe -- bdd|bmc|sessions|synth|cluster|resilience|chaos *)
 
 let heading fmt =
   Printf.ksprintf
@@ -439,23 +439,51 @@ let section_reach ~nodes =
 
 let e9_nodes = 3
 
+(* Total seconds of the spans named [name] on a collector; [None] when
+   there is none. *)
+let span_s col name =
+  match Json.member "traceEvents" (Obs.Collector.chrome_trace col) with
+  | Some (Json.List events) ->
+      List.fold_left
+        (fun acc e ->
+          match (Json.member "ph" e, Json.member "name" e, Json.member "dur" e) with
+          | Some (Json.String "X"), Some (Json.String n), Some (Json.Float us)
+            when n = name ->
+              Some (Option.value ~default:0. acc +. (us /. 1e6))
+          | _ -> acc)
+        None events
+  | _ -> None
+
 let section_e9 () =
   heading "E9 invariant check (%d nodes)" e9_nodes;
-  Printf.printf "  %-24s %-18s %7s   %-18s %7s\n" "config" "with fixpoint"
-    "time" "with not-bad" "time";
+  Printf.printf "  %-24s %-9s %-18s %7s %11s %8s %12s\n" "config" "invariant"
+    "result" "total" "initiation" "safety" "consecution";
   let run_one (name, cfg) =
     let enc =
       Symkit.Enc.create (Bdd.create_manager ()) (Tta_model.Build.model cfg)
     in
     let bad = bad_of cfg in
-    let check inv = timed (fun () -> Symkit.Induction.check enc ~inv ~bad) in
-    let fixpoint, t_fix = check (Symkit.Reach.reachable_set enc) in
-    let not_bad, t_not_bad =
-      check (Bdd.dnot (Symkit.Enc.mgr enc) (Symkit.Enc.pred enc bad))
+    let check label inv =
+      let col = Obs.Collector.create () in
+      let obs = Obs.Collector.track col label in
+      let result, total =
+        timed (fun () -> Symkit.Induction.check ~obs enc ~inv ~bad)
+      in
+      (* "-": the check stopped before this obligation. *)
+      let cell o =
+        match span_s col ("induction." ^ o) with
+        | Some t -> Printf.sprintf "%.2fs" t
+        | None -> "-"
+      in
+      Printf.printf "  %-24s %-9s %-18s %6.2fs %11s %8s %12s\n%!" name label
+        (Symkit.Induction.result_to_string result)
+        total (cell "initiation") (cell "safety") (cell "consecution");
+      result
     in
-    let show = Symkit.Induction.result_to_string in
-    Printf.printf "  %-24s %-18s %6.2fs   %-18s %6.2fs\n%!" name (show fixpoint)
-      t_fix (show not_bad) t_not_bad;
+    let fixpoint = check "fixpoint" (Symkit.Reach.reachable_set enc) in
+    let not_bad =
+      check "not-bad" (Bdd.dnot (Symkit.Enc.mgr enc) (Symkit.Enc.pred enc bad))
+    in
     (fixpoint, not_bad)
   in
   let outcomes = List.map run_one (section5_configs ~nodes:e9_nodes) in
@@ -468,6 +496,81 @@ let section_e9 () =
     ( "E9: E4/E5 fixpoint fails safety",
       List.for_all (fun (fixpoint, _) -> fixpoint = Fails Safety) unsafe );
   ]
+
+(* ------------------------------------------------------------------ *)
+(* E9's counterexample at paper scale through SAT-BMC: 4-node full
+   shifting to depth 15, the paper's slowest artifact. Its search
+   counters are pinned, so a solver change that is meant as a pure
+   speed change must reproduce them exactly and can only move the
+   times. *)
+
+let bmc_nodes = 4
+let bmc_depth = 15
+let bmc_trace_len = 15
+
+(* sat.conflicts, sat.decisions, sat.propagations *)
+let bmc_search_pin = [ 53235; 255858; 98468918 ]
+
+let section_bmc () =
+  heading "E9 counterexample through SAT-BMC (%d nodes, depth %d)" bmc_nodes
+    bmc_depth;
+  let cfg = Tta_model.Configs.full_shifting ~nodes:bmc_nodes () in
+  let col = Obs.Collector.create () in
+  let obs = Obs.Collector.track col "bmc" in
+  let engine = Tta_model.Engine.get Tta_model.Engine.Sat_bmc in
+  let r, wall =
+    timed (fun () -> engine.Tta_model.Engine.run ~obs ~max_depth:bmc_depth cfg)
+  in
+  let trace_len, valid =
+    match r.Tta_model.Engine.verdict with
+    | Tta_model.Engine.Violated { trace; model } ->
+        (Array.length trace, Result.is_ok (Symkit.Trace.validate model trace))
+    | _ -> (0, false)
+  in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name r.Tta_model.Engine.counters)
+  in
+  let conflicts = counter "sat.conflicts"
+  and decisions = counter "sat.decisions"
+  and propagations = counter "sat.propagations" in
+  let verdict = if trace_len > 0 then "violated" else "not violated" in
+  let seconds name = Option.value ~default:0. (span_s col name) in
+  let solve_s = seconds "bmc.solve_depth" and unroll_s = seconds "bmc.unroll" in
+  let props_per_s = float_of_int propagations /. solve_s in
+  Printf.printf
+    "  verdict: %s, %d-state trace (%s)\n\
+    \  conflicts %d, decisions %d, propagations %d\n\
+    \  solve %.2fs, unroll %.2fs, wall %.2fs, %.2fM propagations/s\n%!"
+    verdict trace_len
+    (if valid then "validated" else "INVALID")
+    conflicts decisions propagations solve_s unroll_s wall (props_per_s /. 1e6);
+  let row =
+    Json.Obj
+      [
+        ("config", Json.String "E9 full-shifting");
+        ("verdict", Json.String verdict);
+        ("trace_len", Json.Int trace_len);
+        ("trace_valid", Json.Bool valid);
+        ("conflicts", Json.Int conflicts);
+        ("decisions", Json.Int decisions);
+        ("propagations", Json.Int propagations);
+        ("solve_s", Json.Float solve_s);
+        ("unroll_s", Json.Float unroll_s);
+        ("wall_s", Json.Float wall);
+        ("propagations_per_s", Json.Float props_per_s);
+      ]
+  in
+  ( [
+      ("nodes", Json.Int bmc_nodes);
+      ("max_depth", Json.Int bmc_depth);
+      ("rows", Json.List [ row ]);
+    ],
+    [
+      ( Printf.sprintf "violated by a valid %d-state trace" bmc_trace_len,
+        trace_len = bmc_trace_len && valid );
+      ( "conflicts, decisions and propagations as pinned",
+        [ conflicts; decisions; propagations ] = bmc_search_pin );
+    ] )
 
 (* ------------------------------------------------------------------ *)
 (* E15: sensitivity of the BDD engine to the variable order, measured
@@ -1343,6 +1446,8 @@ let () =
             artifact "bdd"
               (fun () -> section_reach ~nodes:4)
               "the 4-node E1-E5 BDD fixpoints.";
+            artifact "bmc" section_bmc
+              "E9's 4-node counterexample through SAT-BMC, search pinned.";
             artifact "sessions" section_sessions
               "warm vs cold solver sessions on a near-miss stream.";
             artifact "synth" section_synth

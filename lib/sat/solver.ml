@@ -8,15 +8,17 @@ let lit_sign l = l land 1 = 0
 
 type result = Sat | Unsat
 
-(* Growable int vector. *)
+(* Growable int vector. A fresh one holds no storage: the solver keeps
+   two watch lists per variable, most of them short and many never
+   used. *)
 module Veci = struct
   type t = { mutable data : int array; mutable len : int }
 
-  let create () = { data = Array.make 16 0; len = 0 }
+  let create () = { data = [||]; len = 0 }
 
   let push v x =
     if v.len = Array.length v.data then begin
-      let data = Array.make (2 * v.len) 0 in
+      let data = Array.make (max 4 (2 * v.len)) 0 in
       Array.blit v.data 0 data 0 v.len;
       v.data <- data
     end;
@@ -119,28 +121,42 @@ end
    group's clauses and every learned clause derived from them. *)
 type group = { sel : int; mutable active : bool }
 
+(* The clause arena. Every clause lives in one flat [int array]: a
+   header word followed by its literals. A clause is referred to by the
+   offset of its first literal (its reference, kept in watch lists and
+   in [reason]); the header sits just before it. The header packs the
+   size (low bits) with the literal-block distance (LBD, the number of
+   distinct decision levels at learn time; 0 for original clauses,
+   which are never deleted), and [reduce_db] marks the clauses it
+   drops in it before compacting them away. *)
+let size_bits = 31
+let size_mask = (1 lsl size_bits) - 1
+let lbd_mask = (1 lsl 30) - 1
+let deleted_mark = 1 lsl 61
+let header ~size ~lbd = size lor (lbd lsl size_bits)
+let header_lbd h = (h lsr size_bits) land lbd_mask
+
 type t = {
   mutable nvars : int;
-  mutable assigns : int array; (* var -> -1 unassigned / 0 false / 1 true *)
+  mutable vals : int array; (* lit -> -1 unassigned / 0 false / 1 true *)
   mutable level : int array;
-  mutable reason : int array; (* var -> clause index or -1 *)
+  mutable reason : int array; (* var -> clause reference or -1 *)
   mutable phase : bool array;
   mutable activity : float array;
-  mutable clauses : int array array;
+  mutable arena : int array;
+  mutable arena_len : int; (* words of [arena] in use *)
   mutable nclauses : int;
-  (* Per-clause metadata: learned clauses carry their literal-block
-     distance (LBD, the number of distinct decision levels at learn
-     time); original clauses carry 0 and are never deleted. *)
-  mutable lbd : int array;
-  mutable watches : Veci.t array; (* lit -> clause indices *)
+  mutable watches : Veci.t array; (* lit -> clause references *)
   (* Conflict-analysis scratch, reused by every conflict: [seen] marks
      variables (all false between conflicts), [marked] lists the ones
      set so they can be cleared, [lower] collects the learned literals
-     below the conflict level, and [level_stamp] holds, per decision
+     below the conflict level, [learnt] receives the learned clause
+     (asserting literal first), and [level_stamp] holds, per decision
      level, the last conflict whose LBD counted it. *)
   mutable seen : bool array;
   marked : Veci.t;
   lower : Veci.t;
+  learnt : Veci.t;
   mutable level_stamp : int array;
   trail : Veci.t;
   trail_lim : Veci.t;
@@ -163,18 +179,19 @@ type t = {
 let create () =
   {
     nvars = 0;
-    assigns = Array.make 16 (-1);
+    vals = Array.make 32 (-1);
     level = Array.make 16 0;
     reason = Array.make 16 (-1);
     phase = Array.make 16 false;
     activity = Array.make 16 0.0;
-    clauses = Array.make 64 [||];
+    arena = Array.make 256 0;
+    arena_len = 0;
     nclauses = 0;
-    lbd = Array.make 64 0;
     watches = Array.init 32 (fun _ -> Veci.create ());
     seen = Array.make 16 false;
     marked = Veci.create ();
     lower = Veci.create ();
+    learnt = Veci.create ();
     level_stamp = Array.make 16 0;
     trail = Veci.create ();
     trail_lim = Veci.create ();
@@ -202,12 +219,14 @@ let grow_arrays s n =
     Array.blit a 0 b 0 (Array.length a);
     b
   in
-  s.assigns <- g s.assigns (-1);
   s.level <- g s.level 0;
   s.reason <- g s.reason (-1);
   s.phase <- g s.phase false;
   s.activity <- g s.activity 0.0;
   s.seen <- g s.seen false;
+  let vals = Array.make (2 * n) (-1) in
+  Array.blit s.vals 0 vals 0 (Array.length s.vals);
+  s.vals <- vals;
   let w = Array.init (2 * n) (fun _ -> Veci.create ()) in
   Array.blit s.watches 0 w 0 (Array.length s.watches);
   s.watches <- w
@@ -215,19 +234,17 @@ let grow_arrays s n =
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  if v >= Array.length s.assigns then grow_arrays s (2 * (v + 1));
+  if v >= Array.length s.level then grow_arrays s (2 * (v + 1));
   Heap.insert s.activity s.order v;
   v
 
-let value_lit s l =
-  let a = s.assigns.(lit_var l) in
-  if a < 0 then -1 else if lit_sign l then a else 1 - a
-
+let value_lit s l = s.vals.(l)
 let decision_level s = Veci.len s.trail_lim
 
 let enqueue s l reason =
   let v = lit_var l in
-  s.assigns.(v) <- (if lit_sign l then 1 else 0);
+  s.vals.(l) <- 1;
+  s.vals.(negate l) <- 0;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   s.phase.(v) <- lit_sign l;
@@ -241,8 +258,10 @@ let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = Veci.get s.trail_lim lvl in
     for i = Veci.len s.trail - 1 downto bound do
-      let v = lit_var (Veci.get s.trail i) in
-      s.assigns.(v) <- -1;
+      let l = Veci.get s.trail i in
+      let v = lit_var l in
+      s.vals.(l) <- -1;
+      s.vals.(negate l) <- -1;
       s.reason.(v) <- -1;
       Heap.insert s.activity s.order v
     done;
@@ -251,24 +270,24 @@ let cancel_until s lvl =
     s.qhead <- Veci.len s.trail
   end
 
-(* Append a clause to the database and watch its first two literals.
-   [lbd] is 0 for original (irredundant) clauses. *)
-let push_clause s lits ~lbd =
-  if s.nclauses = Array.length s.clauses then begin
-    let c = Array.make (2 * s.nclauses) [||] in
-    Array.blit s.clauses 0 c 0 s.nclauses;
-    s.clauses <- c;
-    let l = Array.make (2 * s.nclauses) 0 in
-    Array.blit s.lbd 0 l 0 s.nclauses;
-    s.lbd <- l
+(* Append a clause of [size] literals, copied from [src], to the arena
+   and watch its first two literals; returns its reference. *)
+let push_clause s src size ~lbd =
+  let need = s.arena_len + 1 + size in
+  if need > Array.length s.arena then begin
+    let cap = Array.length s.arena in
+    let a = Array.make (max need (2 * cap)) 0 in
+    Array.blit s.arena 0 a 0 s.arena_len;
+    s.arena <- a
   end;
-  let idx = s.nclauses in
-  s.clauses.(idx) <- lits;
-  s.lbd.(idx) <- lbd;
-  s.nclauses <- idx + 1;
-  Veci.push s.watches.(negate lits.(0)) idx;
-  Veci.push s.watches.(negate lits.(1)) idx;
-  idx
+  let r = s.arena_len + 1 in
+  s.arena.(r - 1) <- header ~size ~lbd;
+  Array.blit src 0 s.arena r size;
+  s.arena_len <- need;
+  s.nclauses <- s.nclauses + 1;
+  Veci.push s.watches.(negate src.(0)) r;
+  Veci.push s.watches.(negate src.(1)) r;
+  r
 
 let add_clause_array s lits =
   cancel_until s 0;
@@ -282,30 +301,25 @@ let add_clause_array s lits =
       | 0 -> s.ok <- false
       | _ -> enqueue s lits.(0) (-1)
     end
-    else ignore (push_clause s lits ~lbd:0)
+    else ignore (push_clause s lits n ~lbd:0)
   end
 
 (* Root-level clause addition: normalize (dedupe, drop tautologies and
    level-0-false literals, detect clauses already satisfied at level 0)
    and install. Ignores the push/pop scope stack — retraction units and
-   group clauses route here directly. *)
+   group clauses route here directly. Sorted, a literal and its
+   negation are neighbours, and after [cancel_until s 0] every assigned
+   literal is a level-0 one. *)
 let add_clause_root s lits =
   cancel_until s 0;
-  let lits = List.sort_uniq compare lits in
-  let taut =
-    List.exists (fun l -> List.mem (negate l) lits) lits
+  let lits = List.sort_uniq Int.compare lits in
+  let rec taut = function
+    | a :: (b :: _ as rest) -> b = negate a || taut rest
+    | _ -> false
   in
-  if not taut then begin
-    let sat0 = List.exists (fun l -> value_lit s l = 1 && s.level.(lit_var l) = 0) lits in
-    if not sat0 then begin
-      let lits =
-        List.filter
-          (fun l -> not (value_lit s l = 0 && s.level.(lit_var l) = 0))
-          lits
-      in
-      add_clause_array s (Array.of_list lits)
-    end
-  end
+  if not (taut lits || List.exists (fun l -> value_lit s l = 1) lits) then
+    add_clause_array s
+      (Array.of_list (List.filter (fun l -> value_lit s l <> 0) lits))
 
 let add_clause s lits =
   match s.scopes with
@@ -342,59 +356,66 @@ let pop s =
       s.scopes <- rest;
       retract s g
 
-(* Unit propagation with two watched literals. Returns the index of a
-   conflicting clause, or -1. *)
+(* Unit propagation with two watched literals. Returns the reference
+   of a conflicting clause, or -1. Nothing in here adds a clause or a
+   variable, so the arena, the value array and the watch list being
+   scanned (a moved watch always goes to another literal's list) stay
+   the same arrays throughout. *)
 let propagate s =
   let conflict = ref (-1) in
+  let a = s.arena and vals = s.vals in
   while !conflict < 0 && s.qhead < Veci.len s.trail do
     let l = Veci.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
+    let false_lit = negate l in
     let ws = s.watches.(l) in
+    let refs = ws.Veci.data in
     let n = Veci.len ws in
     let j = ref 0 in
     let i = ref 0 in
     while !i < n do
-      let ci = Veci.get ws !i in
+      let r = refs.(!i) in
       incr i;
-      let c = s.clauses.(ci) in
-      (* Ensure the false literal (negate l) is at position 1. *)
-      if c.(0) = negate l then begin
-        c.(0) <- c.(1);
-        c.(1) <- negate l
+      (* Ensure the false literal is at position 1. *)
+      if a.(r) = false_lit then begin
+        a.(r) <- a.(r + 1);
+        a.(r + 1) <- false_lit
       end;
-      if value_lit s c.(0) = 1 then begin
+      let first = a.(r) in
+      if vals.(first) = 1 then begin
         (* Clause satisfied: keep the watch. *)
-        Veci.set ws !j ci;
+        refs.(!j) <- r;
         incr j
       end
       else begin
         (* Look for a new literal to watch. *)
-        let len = Array.length c in
-        let k = ref 2 in
-        while !k < len && value_lit s c.(!k) = 0 do
+        let stop = r + (a.(r - 1) land size_mask) in
+        let k = ref (r + 2) in
+        while !k < stop && vals.(a.(!k)) = 0 do
           incr k
         done;
-        if !k < len then begin
+        if !k < stop then begin
           (* Move the watch. *)
-          c.(1) <- c.(!k);
-          c.(!k) <- negate l;
-          Veci.push s.watches.(negate c.(1)) ci
+          let w = a.(!k) in
+          a.(r + 1) <- w;
+          a.(!k) <- false_lit;
+          Veci.push s.watches.(negate w) r
         end
         else begin
           (* Unit or conflicting. *)
-          Veci.set ws !j ci;
+          refs.(!j) <- r;
           incr j;
-          if value_lit s c.(0) = 0 then begin
-            conflict := ci;
+          if vals.(first) = 0 then begin
+            conflict := r;
             (* Copy the rest of the watch list back and stop. *)
             while !i < n do
-              Veci.set ws !j (Veci.get ws !i);
+              refs.(!j) <- refs.(!i);
               incr i;
               incr j
             done
           end
-          else enqueue s c.(0) ci
+          else enqueue s first r
         end
       end
     done;
@@ -431,35 +452,37 @@ let rec redundant s q depth =
   let r = s.reason.(lit_var q) in
   r >= 0
   &&
-  let c = s.clauses.(r) in
+  let a = s.arena in
+  let stop = r + (a.(r - 1) land size_mask) in
   let ok = ref true in
-  for k = 1 to Array.length c - 1 do
+  for k = r + 1 to stop - 1 do
     if !ok then begin
-      let u = lit_var c.(k) in
+      let u = lit_var a.(k) in
       if s.level.(u) > 0 && not s.seen.(u) then
-        if not (redundant s c.(k) (depth + 1)) then ok := false
+        if not (redundant s a.(k) (depth + 1)) then ok := false
         else mark s u
     end
   done;
   !ok
 
 (* First-UIP conflict analysis with recursive clause minimization.
-   Returns (learned clause with asserting literal first, backtrack
-   level, literal-block distance). Apart from the learned clause it
-   allocates nothing: the scratch lives in the solver and is left
-   clean for the next conflict. *)
+   Leaves the learned clause in [s.learnt], asserting literal first,
+   and returns (backtrack level, literal-block distance). It allocates
+   nothing that grows with the problem: the scratch lives in the
+   solver and is left clean for the next conflict. *)
 let analyze s confl =
   Veci.shrink s.lower 0;
+  let a = s.arena in
   let counter = ref 0 in
   let p = ref (-1) in
   let trail_idx = ref (Veci.len s.trail - 1) in
   let confl = ref confl in
   let continue = ref true in
   while !continue do
-    let c = s.clauses.(!confl) in
-    let start = if !p < 0 then 0 else 1 in
-    for k = start to Array.length c - 1 do
-      let q = c.(k) in
+    let r = !confl in
+    let start = if !p < 0 then r else r + 1 in
+    for k = start to r + (a.(r - 1) land size_mask) - 1 do
+      let q = a.(k) in
       let v = lit_var q in
       if (not s.seen.(v)) && s.level.(v) > 0 then begin
         mark s v;
@@ -493,11 +516,13 @@ let analyze s confl =
       Veci.set s.lower !kept q
     end
   done;
-  let lits = Array.make (1 + n - !kept) (negate !p) in
+  let lits = s.learnt in
+  Veci.shrink lits 0;
+  Veci.push lits (negate !p);
   let back_level = ref 0 in
-  for k = 1 to Array.length lits - 1 do
+  for k = 1 to n - !kept do
     let q = Veci.get s.lower (n - k) in
-    lits.(k) <- q;
+    Veci.push lits q;
     back_level := max !back_level s.level.(lit_var q)
   done;
   for i = 0 to Veci.len s.marked - 1 do
@@ -508,90 +533,99 @@ let analyze s confl =
      the first time this conflict's number is stamped on it. *)
   let dl = decision_level s in
   if dl >= Array.length s.level_stamp then begin
-    let a = Array.make (2 * (dl + 1)) 0 in
-    Array.blit s.level_stamp 0 a 0 (Array.length s.level_stamp);
-    s.level_stamp <- a
+    let stamps = Array.make (2 * (dl + 1)) 0 in
+    Array.blit s.level_stamp 0 stamps 0 (Array.length s.level_stamp);
+    s.level_stamp <- stamps
   end;
   let lbd = ref 0 in
-  for k = 0 to Array.length lits - 1 do
-    let lv = s.level.(lit_var lits.(k)) in
+  for k = 0 to Veci.len lits - 1 do
+    let lv = s.level.(lit_var (Veci.get lits k)) in
     if s.level_stamp.(lv) <> s.conflicts then begin
       s.level_stamp.(lv) <- s.conflicts;
       incr lbd
     end
   done;
-  (lits, !back_level, !lbd)
+  (!back_level, !lbd)
 
-let record_learned s lits ~lbd =
+(* Install the clause [analyze] left in [s.learnt] and assert its first
+   literal. *)
+let record_learned s ~lbd =
   s.learned <- s.learned + 1;
-  if Array.length lits = 1 then enqueue s lits.(0) (-1)
+  let lits = s.learnt in
+  let n = Veci.len lits in
+  if n = 1 then enqueue s (Veci.get lits 0) (-1)
   else begin
     (* Watch the asserting literal and a literal of the backtrack
        level so propagation stays sound. *)
     let best = ref 1 in
-    for k = 2 to Array.length lits - 1 do
-      if s.level.(lit_var lits.(k)) > s.level.(lit_var lits.(!best)) then
-        best := k
+    for k = 2 to n - 1 do
+      if
+        s.level.(lit_var (Veci.get lits k))
+        > s.level.(lit_var (Veci.get lits !best))
+      then best := k
     done;
-    let tmp = lits.(1) in
-    lits.(1) <- lits.(!best);
-    lits.(!best) <- tmp;
-    let idx = push_clause s lits ~lbd:(max 1 lbd) in
-    enqueue s lits.(0) idx
+    let tmp = Veci.get lits 1 in
+    Veci.set lits 1 (Veci.get lits !best);
+    Veci.set lits !best tmp;
+    let r = push_clause s lits.Veci.data n ~lbd:(max 1 lbd) in
+    enqueue s (Veci.get lits 0) r
   end
 
 (* Clause-database reduction: once the learned clauses pile up, drop
    the worse (higher-LBD) half. Called at a restart point, where no
    surviving assignment depends on a deletable clause except through
-   the root level. Indexes shift, so the watch lists and reason array
-   are rebuilt against the compacted database. *)
+   the root level. A clause is a reason exactly when the variable of
+   its first literal names it (propagation puts the implied literal
+   there and never moves it while it is assigned). The survivors slide
+   down the arena in place, in their old order, so each reason follows
+   its clause to its new reference, and the watch lists are rebuilt
+   from the compacted arena. *)
 let reduce_db s =
-  let n = s.nclauses in
-  (* Clauses currently acting as a reason must survive. *)
-  let is_reason = Array.make n false in
-  for i = 0 to Veci.len s.trail - 1 do
-    let r = s.reason.(lit_var (Veci.get s.trail i)) in
-    if r >= 0 then is_reason.(r) <- true
-  done;
-  (* Deletable clauses, worst (highest) LBD first, newest first among
-     equals. *)
+  let a = s.arena in
+  let is_reason r = s.reason.(lit_var a.(r)) = r in
+  (* Deletable clauses: learned, LBD above 2, not a reason. *)
   let deletable = Veci.create () in
-  for idx = n - 1 downto 0 do
-    if s.lbd.(idx) > 2 && not is_reason.(idx) then Veci.push deletable idx
+  let r = ref 1 in
+  while !r <= s.arena_len do
+    let h = a.(!r - 1) in
+    if header_lbd h > 2 && not (is_reason !r) then Veci.push deletable !r;
+    r := !r + 1 + (h land size_mask)
   done;
+  (* Worst (highest) LBD first, newest (highest reference) first among
+     equals. *)
   let sorted = Veci.to_array deletable in
-  Array.stable_sort (fun a b -> compare s.lbd.(b) s.lbd.(a)) sorted;
+  let lbd r = header_lbd a.(r - 1) in
+  Array.sort
+    (fun x y -> match compare (lbd y) (lbd x) with 0 -> compare y x | c -> c)
+    sorted;
   let to_drop = Array.length sorted / 2 in
   if to_drop > 0 then begin
-    (* Compact the clause arrays; [remap] sends a surviving index to its
-       new place and a dropped one to -1. *)
-    let remap = Array.make n 0 in
     for rank = 0 to to_drop - 1 do
-      remap.(sorted.(rank)) <- -1
+      let r = sorted.(rank) in
+      a.(r - 1) <- a.(r - 1) lor deleted_mark
     done;
-    let next = ref 0 in
-    for idx = 0 to n - 1 do
-      if remap.(idx) = 0 then begin
-        remap.(idx) <- !next;
-        s.clauses.(!next) <- s.clauses.(idx);
-        s.lbd.(!next) <- s.lbd.(idx);
-        incr next
-      end
-    done;
-    s.deleted <- s.deleted + (n - !next);
-    s.nclauses <- !next;
-    (* Rebuild the watch lists from the two leading literals of every
-       surviving clause (the watching invariant stores them there). *)
+    (* Compact and rewatch in one pass. *)
     Array.iter (fun w -> Veci.shrink w 0) s.watches;
-    for idx = 0 to s.nclauses - 1 do
-      let c = s.clauses.(idx) in
-      Veci.push s.watches.(negate c.(0)) idx;
-      Veci.push s.watches.(negate c.(1)) idx
+    let next = ref 0 in
+    let r = ref 1 in
+    while !r <= s.arena_len do
+      let h = a.(!r - 1) in
+      let size = h land size_mask in
+      if h land deleted_mark = 0 then begin
+        let r' = !next + 1 in
+        let reason = is_reason !r in
+        a.(r' - 1) <- h;
+        Array.blit a !r a r' size;
+        if reason then s.reason.(lit_var a.(r')) <- r';
+        Veci.push s.watches.(negate a.(r')) r';
+        Veci.push s.watches.(negate a.(r' + 1)) r';
+        next := r' + size
+      end;
+      r := !r + 1 + size
     done;
-    (* Remap reasons (all survivors by construction). *)
-    for v = 0 to s.nvars - 1 do
-      if s.reason.(v) >= 0 then s.reason.(v) <- remap.(s.reason.(v))
-    done
+    s.arena_len <- !next;
+    s.deleted <- s.deleted + to_drop;
+    s.nclauses <- s.nclauses - to_drop
   end
 
 let luby i =
@@ -607,7 +641,7 @@ let luby i =
 (* The most active unassigned variable, or -1 when all are assigned. *)
 let rec pick_branch s =
   let v = Heap.pop s.activity s.order in
-  if v < 0 || s.assigns.(v) < 0 then v else pick_branch s
+  if v < 0 || s.vals.(pos v) < 0 then v else pick_branch s
 
 exception Done of result
 
@@ -641,9 +675,9 @@ let solve ?(assumptions = []) s =
                loop below re-decides them, so no special case is needed
                here. Assumption inconsistency surfaces either as a level-0
                conflict or as a false assumption at decision time. *)
-            let lits, back, lbd = analyze s confl in
+            let back, lbd = analyze s confl in
             cancel_until s (max 0 back);
-            record_learned s lits ~lbd;
+            record_learned s ~lbd;
             var_decay s
           end
           else if !budget <= 0 && decision_level s > Array.length assumptions
@@ -692,7 +726,7 @@ let solve ?(assumptions = []) s =
       with Done r ->
         (if r = Sat then
            s.last_model <-
-             Some (Array.init s.nvars (fun v -> s.assigns.(v) = 1)));
+             Some (Array.init s.nvars (fun v -> s.vals.(pos v) = 1)));
         r
   end
 

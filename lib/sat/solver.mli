@@ -7,8 +7,16 @@
     query successive unrolling depths incrementally.
 
     Variables are integers allocated by {!new_var}; literals are built
-    with {!pos} and {!neg}. A conflict allocates its learned clause and
-    nothing that grows with the number of variables. *)
+    with {!pos} and {!neg}. Clauses live in one flat integer arena, a
+    header word (size and literal-block distance) followed by the
+    literals, and are referred to by offset; clause-database reduction
+    compacts the arena in place. A conflict allocates nothing that
+    grows with the number of variables.
+
+    The search itself (watch order, clause order, every tie-break) is
+    pinned by tests and by the E9 benchmark's counters, so a change to
+    the data structures is checked to change speed only
+    ([doc/symbolic.md], "SAT kernel"). *)
 
 type t
 (** A solver instance: variable pool, clause database, search state. *)

@@ -24,6 +24,19 @@ type prop = {
       (** shortest violating depth + trace *)
 }
 
+(* Tseitin memo key: a BDD node id and a base step packed into one int,
+   the step above bit 40. The hash mixes the step into the low bits,
+   which the table indexes by, so one node's literals at successive
+   steps land in different buckets. *)
+module Node_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k lxor ((k lsr 40) * 0x9E3779B1)) land max_int
+end)
+
+let node_key id step = (step lsl 40) lor id
+
 type t = {
   enc : Enc.t;
   solver : Sat.t;
@@ -31,8 +44,8 @@ type t = {
   (* step -> state bit -> SAT variable *)
   mutable step_bits : int array list;  (** reversed: step k at head *)
   mutable depth : int;
-  (* Tseitin memo: (bdd id, base step) -> lit *)
-  node_lit : (int * int, Sat.lit) Hashtbl.t;
+  (* Tseitin memo: node_key (bdd id) (base step) -> lit *)
+  node_lit : Sat.lit Node_tbl.t;
   init_parts : Bdd.t list;
   trans_parts : Bdd.t list;
   valid_cur : Bdd.t;
@@ -54,8 +67,8 @@ let rec lit_of_bdd t ~step d =
   if Bdd.is_one d then t.true_lit
   else if Bdd.is_zero d then Sat.negate t.true_lit
   else
-    let key = (Bdd.id d, step) in
-    match Hashtbl.find_opt t.node_lit key with
+    let key = node_key (Bdd.id d) step in
+    match Node_tbl.find_opt t.node_lit key with
     | Some l -> l
     | None ->
         let bit, primed = Enc.bit_of_bddvar (Bdd.top_var d) in
@@ -71,7 +84,7 @@ let rec lit_of_bdd t ~step d =
         Sat.add_clause t.solver [ Sat.negate n; v; lo ];
         Sat.add_clause t.solver [ n; Sat.negate v; Sat.negate hi ];
         Sat.add_clause t.solver [ n; v; Sat.negate lo ];
-        Hashtbl.add t.node_lit key n;
+        Node_tbl.add t.node_lit key n;
         n
 
 let assert_bdd t ~step d = Sat.add_clause t.solver [ lit_of_bdd t ~step d ]
@@ -90,7 +103,7 @@ let create ?(with_init = true) enc =
       true_lit = Sat.pos tv;
       step_bits = [];
       depth = 0;
-      node_lit = Hashtbl.create 4096;
+      node_lit = Node_tbl.create 4096;
       init_parts =
         List.map (Enc.pred enc) (Enc.model enc).Model.init;
       trans_parts = Enc.trans_parts enc;

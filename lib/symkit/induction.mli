@@ -17,11 +17,15 @@ type result =
       (** the first obligation, in the order initiation, safety,
           consecution, that has a counterexample state (pair) *)
 
-val check : Enc.t -> inv:Bdd.t -> bad:Expr.t -> result
+val check : ?obs:Obs.t -> Enc.t -> inv:Bdd.t -> bad:Expr.t -> result
 (** Check the obligations in that order, stopping at the first that
     fails. [inv] must be a diagram of the encoder's manager over
     current bits; it is not rooted, so no BDD garbage collection may
-    run while the check does (none does: only {!Reach} collects). *)
+    run while the check does (none does: only {!Reach} collects).
+    [obs] (default {!Obs.disabled}) receives one span per obligation
+    discharged, [induction.initiation], [induction.safety] and
+    [induction.consecution], each covering the session set-up, CNF
+    translation and solve that obligation costs. *)
 
 val result_to_string : result -> string
 (** ["inductive"], or ["fails initiation"]/["fails safety"]/

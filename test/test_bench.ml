@@ -321,6 +321,54 @@ let test_bdd () =
         (get_num name row "compile_s" <= get_num name row "wall_s"))
     expected rows
 
+(* E9's counterexample through SAT-BMC at 4 nodes, depth 15: verdict,
+   trace length and the search counters pinned (a solver change meant
+   as a pure speed change keeps them), the solve and unroll times and
+   the propagation rate recorded. *)
+let test_bmc () =
+  let name = "BENCH_bmc.json" in
+  let j = load name in
+  check_keys name j [ "nodes"; "max_depth"; "nproc"; "rows" ];
+  Alcotest.(check int) "bmc: 4 nodes" 4 (int_of_float (get_num name j "nodes"));
+  Alcotest.(check int) "bmc: depth 15" 15
+    (int_of_float (get_num name j "max_depth"));
+  match get_rows name j with
+  | [ row ] ->
+      check_keys name row
+        [
+          "config";
+          "verdict";
+          "trace_len";
+          "trace_valid";
+          "conflicts";
+          "decisions";
+          "propagations";
+          "solve_s";
+          "unroll_s";
+          "wall_s";
+          "propagations_per_s";
+        ];
+      Alcotest.(check string) "bmc: verdict" "violated"
+        (get_str name row "verdict");
+      Alcotest.(check int) "bmc: trace length" 15
+        (int_of_float (get_num name row "trace_len"));
+      Alcotest.(check bool) "bmc: trace validated" true
+        (get_bool name row "trace_valid");
+      Alcotest.(check (list int))
+        "bmc: conflicts, decisions, propagations" [ 53235; 255858; 98468918 ]
+        (List.map
+           (fun k -> int_of_float (get_num name row k))
+           [ "conflicts"; "decisions"; "propagations" ]);
+      let solve = get_num name row "solve_s" in
+      Alcotest.(check bool) "bmc: solve within the run" true
+        (solve > 0.0
+        && solve +. get_num name row "unroll_s" <= get_num name row "wall_s");
+      Alcotest.(check (float 1.0))
+        "bmc: propagations per second of solve"
+        (get_num name row "propagations" /. solve)
+        (get_num name row "propagations_per_s")
+  | rows -> Alcotest.failf "bmc: %d rows, expected one" (List.length rows)
+
 (* The committed paper-scale transcript: its Section 5.2 verdict table
    must list exactly the experiment registry's jobs (E1-E5 plus the E9
    ablation), and every measured verdict must match its expectation.
@@ -401,6 +449,7 @@ let artifacts =
     ("BENCH_chaos.json", test_chaos);
     ("BENCH_resilience.json", test_resilience);
     ("BENCH_bdd.json", test_bdd);
+    ("BENCH_bmc.json", test_bmc);
   ]
 
 (* [bench/main.exe ARGS], with its exit code and standard output. *)

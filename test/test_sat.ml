@@ -366,6 +366,142 @@ let test_incremental_with_reduction () =
     (Printf.sprintf "reduction ran (%d clauses deleted)" deleted)
     true (deleted > 0)
 
+(* Arena compaction inside live sessions. A case is a script of
+   operations on one incremental solver over the guarded pigeonhole:
+   a few random operations, then the hard query (all eight pigeons
+   seated, unsat only after thousands of conflicts, so [reduce_db]
+   compacts the clause arena and remaps the reasons of root-level
+   literals), then more random operations and the hard query again.
+   The random operations add root or scoped clauses over the pigeon
+   variables, push and pop scopes, and solve under assumptions. Every
+   answer must equal a fresh solver's on the clauses live at that
+   point, and a model must satisfy them. *)
+
+type session_op =
+  | Add of (int * bool) list  (** a clause of (var, sign) *)
+  | Solve of (int * bool) list  (** assumptions *)
+  | Push
+  | Pop
+
+let all_seated = Solve (List.init 8 (fun i -> (i, true)))
+
+let session_op_gen =
+  let open QCheck.Gen in
+  (* Variables 0-7 are the selectors, 8-63 the pigeon placements. *)
+  let placement = pair (int_range 8 63) bool in
+  let selectors =
+    map
+      (fun keep ->
+        List.filter_map
+          (fun i -> if keep land (1 lsl i) <> 0 then Some (i, true) else None)
+          (List.init 8 Fun.id))
+      (int_bound 255)
+  in
+  frequency
+    [
+      (4, map (fun c -> Add c) (list_size (int_range 1 3) placement));
+      ( 3,
+        map2
+          (fun sel extra -> Solve (sel @ extra))
+          selectors
+          (list_size (int_bound 2) placement) );
+      (1, return Push);
+      (1, return Pop);
+    ]
+
+let session_gen =
+  let open QCheck.Gen in
+  map2
+    (fun before after -> before @ (all_seated :: after) @ [ all_seated ])
+    (list_size (int_bound 3) session_op_gen)
+    (list_size (int_range 2 8) session_op_gen)
+
+let print_session ops =
+  let lits l =
+    String.concat " "
+      (List.map (fun (v, b) -> (if b then "" else "-") ^ string_of_int v) l)
+  in
+  String.concat "; "
+    (List.map
+       (function
+         | Add c -> "add [" ^ lits c ^ "]"
+         | Solve a -> "solve [" ^ lits a ^ "]"
+         | Push -> "push"
+         | Pop -> "pop")
+       ops)
+
+(* Does [m] satisfy the guarded pigeonhole's own clauses? *)
+let pigeonhole_holds m =
+  let seat i j = m.(8 + (i * 7) + j) in
+  List.for_all
+    (fun i -> (not m.(i)) || List.exists (seat i) (List.init 7 Fun.id))
+    (List.init 8 Fun.id)
+  && List.for_all
+       (fun j ->
+         List.length (List.filter (fun i -> seat i j) (List.init 8 Fun.id)) <= 1)
+       (List.init 7 Fun.id)
+
+(* Cases whose session deleted learned clauses. *)
+let compacting_cases = ref 0
+
+let prop_session_compaction =
+  QCheck.Test.make ~name:"sessions across clause-arena compaction" ~count:8
+    (QCheck.make ~print:print_session session_gen)
+    (fun ops ->
+      let s, _ = guarded_pigeonhole () in
+      (* Root clauses, and one clause list per open scope (innermost
+         first), as the session should see them. *)
+      let root = ref [] and scopes = ref [] in
+      let to_lits = List.map (fun (v, b) -> lit v b) in
+      let satisfied m c = List.exists (fun (v, b) -> m.(v) = b) c in
+      let ok =
+        List.for_all
+          (function
+            | Add c ->
+                Sat.add_clause s (to_lits c);
+                (match !scopes with
+                | [] -> root := c :: !root
+                | top :: rest -> scopes := (c :: top) :: rest);
+                true
+            | Push ->
+                Sat.push s;
+                scopes := [] :: !scopes;
+                true
+            | Pop -> (
+                match !scopes with
+                | [] -> true
+                | _ :: rest ->
+                    Sat.pop s;
+                    scopes := rest;
+                    true)
+            | Solve a ->
+                let live = List.rev (List.concat (!root :: !scopes)) in
+                let fresh, _ = guarded_pigeonhole () in
+                List.iter (fun c -> Sat.add_clause fresh (to_lits c)) live;
+                let assumptions = to_lits a in
+                let expected = Sat.solve ~assumptions fresh in
+                let got = Sat.solve ~assumptions s in
+                got = expected
+                && (got = Sat.Unsat
+                   ||
+                   let m = Sat.model s in
+                   pigeonhole_holds m
+                   && List.for_all (satisfied m) live
+                   && List.for_all (fun (v, b) -> m.(v) = b) a))
+          ops
+      in
+      if List.assoc "sat.deleted" (Sat.counters s) > 0 then
+        incr compacting_cases;
+      ok)
+
+let test_session_compaction () =
+  compacting_cases := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |])
+    prop_session_compaction;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of the cases compacted the arena" !compacting_cases)
+    true (!compacting_cases > 0)
+
 (* Search-identity pin: the exact effort of one classic unsat instance.
    A change to the solver's data structures that is meant to be a pure
    speed change must leave every one of these numbers as it is. *)
@@ -438,6 +574,8 @@ let suite =
     Alcotest.test_case "search pin: php 8 into 7" `Quick test_search_pin;
     Alcotest.test_case "conflicts allocate nothing per variable" `Quick
       test_conflicts_allocate_nothing_per_var;
+    Alcotest.test_case "sessions across clause-arena compaction" `Quick
+      test_session_compaction;
   ]
   @ qtests
 

@@ -392,7 +392,7 @@ let prop_pred_agrees =
 (* The same agreement over state PAIRS, for predicates mentioning
    primed variables (i.e. transition constraints — the encoder path the
    whole model checker stands on). *)
-let random_trans_pred_gen =
+let trans_pred_of_size =
   let open QCheck.Gen in
   let leaf =
     oneof
@@ -416,7 +416,7 @@ let random_trans_pred_gen =
           (int_range 0 3) bool;
       ]
   in
-  sized @@ fix (fun self n ->
+  fix (fun self n ->
       if n <= 0 then bool_leaf
       else
         frequency
@@ -427,6 +427,8 @@ let random_trans_pred_gen =
             (2, map2 (fun a b -> Expr.Or (a, b)) (self (n / 2)) (self (n / 2)));
             (1, map2 (fun a b -> Expr.Iff (a, b)) (self (n / 2)) (self (n / 2)));
           ])
+
+let random_trans_pred_gen = QCheck.Gen.sized trans_pred_of_size
 
 let prop_trans_pred_agrees =
   QCheck.Test.make ~name:"symbolic transition predicate = concrete evaluation"
@@ -600,6 +602,32 @@ let test_induction_fails_consecution () =
   expect_induction "c <= 2" (Induction.Fails Induction.Consecution)
     (induction saturating_model ~inv:(pred (cur "c" <= int 2)) ~bad:(c_is 5))
 
+(* One span per obligation discharged, in order, and none for those
+   the check never reaches. *)
+let test_induction_obligation_spans () =
+  let spans inv =
+    let col = Obs.Collector.create () in
+    let obs = Obs.Collector.track col "induction" in
+    let enc = Enc.create (Bdd.create_manager ()) saturating_model in
+    ignore (Induction.check ~obs enc ~inv:(inv enc) ~bad:(c_is 5));
+    match Json.member "traceEvents" (Obs.Collector.chrome_trace col) with
+    | Some (Json.List events) ->
+        List.filter_map
+          (fun e ->
+            match (Json.member "ph" e, Json.member "name" e) with
+            | Some (Json.String "X"), Some (Json.String name) -> Some name
+            | _ -> None)
+          events
+    | _ -> Alcotest.fail "no traceEvents"
+  in
+  Alcotest.(check (list string))
+    "inductive: all three"
+    [ "induction.initiation"; "induction.safety"; "induction.consecution" ]
+    (spans fixpoint);
+  Alcotest.(check (list string))
+    "fails initiation: one" [ "induction.initiation" ]
+    (spans (pred (c_is 3)))
+
 (* ------------------------------------------------------------------ *)
 (* CTL. *)
 
@@ -686,9 +714,265 @@ let test_smv_export_shape () =
   Alcotest.(check bool) "init sections" true (has "INIT");
   Alcotest.(check bool) "trans sections" true (has "TRANS")
 
+(* ------------------------------------------------------------------ *)
+(* Differential engine oracle: random models, the BDD and SAT engines,
+   and an independent answer to compare them with.
+
+   A case is a small model whose constraints come from
+   [trans_pred_of_size]: integer ranges a, b, e and a boolean f, as far
+   as the constraints mention them, plus unconstrained enumerations
+   (g, h) to make two to five variables; every domain has one to five
+   values. One generated sub-term is shared physically by several
+   transition constraints, since [Enc] memoizes on physical identity.
+   The oracle is a breadth-first search over the enumerated state
+   space, written here and sharing nothing with [Explicit] or
+   [Model]'s brute-force enumeration: it gives the shortest violation
+   depth, or none. *)
+
+let rec unprime = function
+  | Expr.Nxt v -> Expr.Cur v
+  | (Expr.Const _ | Expr.Cur _) as e -> e
+  | Expr.Not a -> Expr.Not (unprime a)
+  | Expr.And (a, b) -> Expr.And (unprime a, unprime b)
+  | Expr.Or (a, b) -> Expr.Or (unprime a, unprime b)
+  | Expr.Imp (a, b) -> Expr.Imp (unprime a, unprime b)
+  | Expr.Iff (a, b) -> Expr.Iff (unprime a, unprime b)
+  | Expr.Eq (a, b) -> Expr.Eq (unprime a, unprime b)
+  | Expr.Lt (a, b) -> Expr.Lt (unprime a, unprime b)
+  | Expr.Add (a, b) -> Expr.Add (unprime a, unprime b)
+  | Expr.Sub (a, b) -> Expr.Sub (unprime a, unprime b)
+  | Expr.Ite (a, b, c) -> Expr.Ite (unprime a, unprime b, unprime c)
+  | Expr.Member (a, vs) -> Expr.Member (unprime a, vs)
+
+(* At most this many states, so the oracle's pair scan stays cheap. *)
+let oracle_max_states = 200
+
+let oracle_case_gen =
+  let open QCheck.Gen in
+  let pred = int_range 0 6 >>= trans_pred_of_size in
+  let small = int_range 0 2 >>= trans_pred_of_size in
+  let domain name size lo =
+    match name with
+    | "f" -> Model.Bool
+    | "g" | "h" -> Model.Enum (List.init size (Printf.sprintf "%s%d" name))
+    | _ -> Model.Range (lo, lo + size - 1)
+  in
+  list_size (int_bound 1) small >>= fun init ->
+  list_size (int_range 1 3) pred >>= fun trans ->
+  small >>= fun bad ->
+  pred >>= fun sh ->
+  int_bound 2 >>= fun sharing ->
+  int_bound 2 >>= fun counting ->
+  int_range 1 2 >>= fun stride ->
+  int_bound 2 >>= fun aiming ->
+  int_bound 4 >>= fun target ->
+  int_bound 3 >>= fun padding ->
+  list_repeat 6 (pair (int_range 1 5) (int_range (-1) 1)) >>= fun dims ->
+  (* Random relations mostly reach everything in one step or nothing
+     at all. A counter on [a] (from its lowest value, stepping by
+     [stride]), a bad state that names a value of [a], and random
+     constraints weakened by a disjunct stretch the runs. *)
+  let counter =
+    Expr.Eq (Expr.Add (Expr.cur "a", Expr.int stride), Expr.nxt "a")
+  in
+  (* [a] sorts first among the names, so it gets the first domain. *)
+  let lo = snd (List.hd dims) in
+  let trans =
+    List.mapi
+      (fun i t ->
+        let t =
+          match (sharing, i mod 2) with
+          | 0, _ -> t
+          | _, 0 -> Expr.Or (sh, t)
+          | _ -> Expr.Iff (t, sh)
+        in
+        (* With the counter, each random constraint binds at one value
+           of [a] only. *)
+        if counting = 0 then t
+        else Expr.Imp (Expr.Eq (Expr.cur "a", Expr.int (lo + i + counting)), t))
+      trans
+  in
+  let trans = if counting > 0 then counter :: trans else trans in
+  let init =
+    if counting > 0 then [ Expr.Eq (Expr.cur "a", Expr.int lo) ]
+    else List.map unprime init
+  in
+  let at_target = Expr.Eq (Expr.cur "a", Expr.int (lo + target)) in
+  let bad =
+    match aiming with
+    | 0 -> unprime bad
+    | 1 -> at_target
+    | _ -> Expr.And (at_target, Expr.Or (unprime sh, unprime bad))
+  in
+  let mentioned =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun e ->
+           let c, n = Expr.vars e in
+           c @ n)
+         (bad :: (init @ trans)))
+  in
+  let m = List.length mentioned in
+  let extra = max (min padding (5 - m)) (2 - m) in
+  let names = mentioned @ List.filteri (fun i _ -> i < extra) [ "g"; "h" ] in
+  (* A counter gets five values to climb through. Shrink the largest
+     other domain until the space is small enough. *)
+  let sizes = Array.of_list (List.map fst dims) in
+  if counting > 0 then sizes.(0) <- 5;
+  let space () =
+    List.fold_left ( * ) 1
+      (List.mapi (fun i n -> if n = "f" then 2 else sizes.(i)) names)
+  in
+  while space () > oracle_max_states do
+    let big = ref (-1) in
+    List.iteri
+      (fun i n ->
+        if
+          n <> "f"
+          && (i > 0 || counting = 0)
+          && (!big < 0 || sizes.(i) > sizes.(!big))
+        then big := i)
+      names;
+    sizes.(!big) <- sizes.(!big) - 1
+  done;
+  let vars =
+    List.mapi (fun i n -> (n, domain n sizes.(i) (snd (List.nth dims i)))) names
+  in
+  return (Model.make ~name:"random" ~vars ~init ~trans, bad)
+
+let print_oracle_case ((m : Model.t), bad) =
+  Printf.sprintf "vars: %s\ninit: %s\ntrans: %s\nbad: %s"
+    (String.concat ", "
+       (List.map
+          (fun (n, d) -> Format.asprintf "%s %a" n Model.pp_domain d)
+          m.Model.vars))
+    (String.concat " ; " (List.map Expr.to_string m.Model.init))
+    (String.concat " ; " (List.map Expr.to_string m.Model.trans))
+    (Expr.to_string bad)
+
+(* Breadth-first search from the initial states: the depth of the
+   nearest bad state, if one is reachable. *)
+let oracle_depth (m : Model.t) bad =
+  let names = Array.of_list (List.map fst m.Model.vars) in
+  let values = function
+    | Model.Bool -> [ Expr.Bool false; Expr.Bool true ]
+    | Model.Range (lo, hi) ->
+        List.init (hi - lo + 1) (fun i -> Expr.Int (lo + i))
+    | Model.Enum syms -> List.map (fun s -> Expr.Sym s) syms
+  in
+  let states =
+    Array.of_list
+      (List.fold_right
+         (fun (_, d) tails ->
+           List.concat_map
+             (fun v -> List.map (fun t -> v :: t) tails)
+             (values d))
+         m.Model.vars [ [] ])
+    |> Array.map Array.of_list
+  in
+  let lookup s name =
+    let rec find i = if names.(i) = name then s.(i) else find (i + 1) in
+    find 0
+  in
+  let holds ?(next = [||]) s e =
+    Expr.eval ~lookup_cur:(lookup s) ~lookup_nxt:(lookup next) e
+    = Expr.Bool true
+  in
+  let n = Array.length states in
+  let dist = Array.make n (-1) in
+  let frontier =
+    List.filter
+      (fun i -> List.for_all (holds states.(i)) m.Model.init)
+      (List.init n Fun.id)
+  in
+  List.iter (fun i -> dist.(i) <- 0) frontier;
+  let step i j = List.for_all (holds ~next:states.(j) states.(i)) m.Model.trans in
+  let rec bfs depth frontier =
+    if List.exists (fun i -> holds states.(i) bad) frontier then Some depth
+    else if frontier = [] then None
+    else begin
+      let next = ref [] in
+      List.iter
+        (fun i ->
+          for j = 0 to n - 1 do
+            if dist.(j) < 0 && step i j then begin
+              dist.(j) <- depth + 1;
+              next := j :: !next
+            end
+          done)
+        frontier;
+      bfs (depth + 1) !next
+    end
+  in
+  bfs 0 frontier
+
+(* Ratchet bounds for the BMC session: up, then back down inside what
+   it has seen, then past it. *)
+let session_bounds = [ 1; 3; 2; 6; 4 ]
+let bmc_bound = 6
+
+let prop_engines_agree_with_oracle =
+  QCheck.Test.make ~name:"BDD and BMC agree with a breadth-first oracle"
+    ~count:300
+    (QCheck.make ~print:print_oracle_case oracle_case_gen)
+    (fun (model, bad) ->
+      let fresh () = Enc.create (Bdd.create_manager ()) model in
+      let expected = oracle_depth model bad in
+      let valid name trace =
+        match Trace.validate model trace with
+        | Ok () -> true
+        | Error e -> QCheck.Test.fail_reportf "%s trace invalid: %s" name e
+      in
+      (* What [Bmc.check] must answer at bound [d]. *)
+      let bmc_ok name d = function
+        | Bmc.Counterexample trace -> (
+            match expected with
+            | Some k when k <= d ->
+                Array.length trace = k + 1 && valid name trace
+            | _ -> QCheck.Test.fail_reportf "%s: violated at bound %d" name d)
+        | Bmc.No_counterexample (Some d') -> (
+            d' = d
+            &&
+            match expected with
+            | Some k when k <= d ->
+                QCheck.Test.fail_reportf "%s: clean to %d, oracle depth %d" name
+                  d k
+            | _ -> true)
+        | Bmc.No_counterexample None -> false
+      in
+      let reach_ok =
+        match (Reach.check (fresh ()) ~bad, expected) with
+        | Reach.Safe _, None -> true
+        | Reach.Unsafe (trace, _), Some k ->
+            Array.length trace = k + 1 && valid "reach" trace
+        | _ -> QCheck.Test.fail_report "reach verdict differs from the oracle"
+      in
+      let session = Bmc.create (fresh ()) in
+      reach_ok
+      && bmc_ok "bmc" bmc_bound (Bmc.check ~max_depth:bmc_bound (fresh ()) ~bad)
+      && List.for_all
+           (fun d ->
+             let kind = function
+               | Bmc.Counterexample trace -> `Violated (Array.length trace)
+               | Bmc.No_counterexample k -> `Clean k
+             in
+             let r = Bmc.check_session ~max_depth:d session ~bad in
+             bmc_ok "session" d r
+             && kind r = kind (Bmc.check ~max_depth:d (fresh ()) ~bad)
+             &&
+             match expected with
+             | Some k -> Bmc.clean_depth session ~bad < k
+             | None -> true)
+           session_bounds)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_pred_agrees; prop_trans_pred_agrees; prop_state_roundtrip ]
+    [
+      prop_pred_agrees;
+      prop_trans_pred_agrees;
+      prop_state_roundtrip;
+      prop_engines_agree_with_oracle;
+    ]
 
 (* Search-identity pin for the SAT path on the paper's own model: one
    2-node full-shifting session ratcheted through five bounds. It is
@@ -871,6 +1155,8 @@ let suite =
       test_induction_fails_safety;
     Alcotest.test_case "k-induction I fails consecution only" `Quick
       test_induction_fails_consecution;
+    Alcotest.test_case "induction: one span per obligation" `Quick
+      test_induction_obligation_spans;
     Alcotest.test_case "ctl: counter" `Quick test_ctl_counter;
     Alcotest.test_case "ctl: saturating" `Quick test_ctl_saturating;
     Alcotest.test_case "ctl: mutex" `Quick test_ctl_mutex;
