@@ -160,11 +160,12 @@ let watched t () =
 (* ------------------------------------------------------------------ *)
 (* Client side *)
 
-(* Requests shard by the *model* they ask about — Model.fingerprint of
-   the compiled configuration — not by request id: repeats of the same
-   model land on the same worker, whose scheduler coalesces them and
-   whose engines stay warm for it. Engine and depth intentionally do
-   not enter the key. *)
+(* Requests shard by the *transition system* they ask about —
+   Model.fingerprint of the compiled configuration, a content hash that
+   leaves the name out — not by request id: repeats of one system,
+   under any of its names, land on the same worker, whose scheduler
+   coalesces them and whose engines stay warm for it. Engine and depth
+   intentionally do not enter the key. *)
 let routing_key cfg = Symkit.Model.fingerprint (Tta_model.Build.model cfg)
 
 let on_line t client line =

@@ -6,8 +6,10 @@
     bound to a kernel-assigned local port, discovered from the
     daemon's readiness line) and consistent-hashes every verification
     request onto one of them by the fingerprint of the model it asks
-    about. Same model — same shard: repeats coalesce in that worker's
-    scheduler and its engines stay warm, which is the scaling story
+    about. That is a content hash, so configuration names that build
+    one transition system share it. Same system — same shard: repeats
+    coalesce in that worker's scheduler and its engines stay warm,
+    which is the scaling story
     (throughput grows with shards) {e and} the paper's tradeoff made
     operational — a centralized front door whose fault tolerance has
     to be re-earned with supervision, health probes, and failover.

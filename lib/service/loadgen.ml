@@ -51,8 +51,10 @@ let connect_backoff ?(attempts = 6) addr =
 let sample rng l = List.nth l (Random.State.int rng (List.length l))
 
 (* [nodes_choices]/[depths] widen the sampled stream across cluster
-   shards: distinct (config, nodes) pairs give distinct model
-   fingerprints — distinct consistent-hash routing keys — and distinct
+   shards: distinct node counts, and configs that build distinct
+   transition systems, give distinct model fingerprints — distinct
+   consistent-hash routing keys (passive, time windows and small
+   shifting share one) — and distinct
    depths give distinct computations within a shard, so the stream can
    saturate many workers instead of coalescing onto a handful of
    duplicate requests.

@@ -5,6 +5,10 @@ open Tta_model
 
 type waiter = {
   cb : outcome -> unit;
+  wcfg : Configs.t;
+      (** the configuration this waiter asked about; it may differ
+          from the computation's when both name one transition
+          system *)
   wdeadline : float;  (** absolute; [infinity] = none *)
   submitted_at : float;
   joined : bool;  (** coalesced onto an existing computation *)
@@ -78,6 +82,20 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
+(* A waiter that joined under another name of the same transition
+   system gets its own configuration back, and on a violation its own
+   model value, so a name never leaks into another request's answer. *)
+let relabel (r : Portfolio.result) cfg =
+  if r.Portfolio.config = cfg then r
+  else
+    let verdict =
+      match r.Portfolio.verdict with
+      | Engine.Violated { trace; _ } ->
+          Engine.Violated { trace; model = Build.model cfg }
+      | v -> v
+    in
+    { r with Portfolio.config = cfg; verdict }
+
 (* The family override is part of the coalescing identity: a waiter
    must never inherit another submitter's session-routing key (its
    attribution — and session bucket — would come from the other
@@ -117,7 +135,7 @@ let deliver t comp ~(result : Portfolio.result) ?(attr = no_attr) ~ran
       let queue_ms = Float.max 0. ((started_at -. w.submitted_at) *. 1000.) in
       w.cb
         {
-          result;
+          result = relabel result w.wcfg;
           coalesced = w.joined;
           queue_ms;
           expired;
@@ -395,7 +413,13 @@ let submit t ?deadline ?family ~engines ~max_depth ~callback cfg =
         `Draining
     | None -> (
         let waiter ~joined =
-          { cb = callback; wdeadline = dl; submitted_at = at; joined }
+          {
+            cb = callback;
+            wcfg = cfg;
+            wdeadline = dl;
+            submitted_at = at;
+            joined;
+          }
         in
         match Hashtbl.find_opt t.inflight ckey with
         | Some comp ->

@@ -10,7 +10,10 @@
     not enqueue anything: it joins the existing computation's waiter
     list and receives the same result when it completes. Identical
     concurrent requests therefore cost one engine run, however many
-    clients ask.
+    clients ask. The fingerprint is a content hash, so requests naming
+    different configurations of one transition system (passive, time
+    windows and small shifting) coalesce too; each waiter's result
+    still carries its own configuration.
 
     {b Cache.} When a warm {!Portfolio.Cache.t} is attached, it is
     consulted at admission: a conclusive cached verdict answers the

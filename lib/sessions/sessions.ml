@@ -12,9 +12,9 @@ module Engine = Tta_model.Engine
 type entry = {
   family : string;  (** pool bucket key: the override, or [fp] *)
   fp : string;
-      (** fingerprint of [model] — the state this entry actually
-          encodes, verified against the request's at checkout *)
-  model : Model.t;
+      (** fingerprint of the model [bmc] encodes — the state this entry
+          actually holds, verified against the request's at checkout.
+          Every name of that transition system shares it. *)
   bmc : Bmc.t;
   mutable last_used : int;  (** pool sequence number at last check-in *)
 }
@@ -110,7 +110,7 @@ let checkout t ~family ~fp model =
   | Some e -> (e, true)
   | None ->
       let bmc = Bmc.create (Enc.create (Bdd.create_manager ()) model) in
-      ({ family; fp; model; bmc; last_used = 0 }, false)
+      ({ family; fp; bmc; last_used = 0 }, false)
 
 (* Drop the globally least-recently-used idle entry. Called with the
    lock held. *)
@@ -218,7 +218,10 @@ let run t ~engine ?cancel ?obs ?family ?supervisor ?faults ~max_depth cfg =
           (fun () ->
             match Bmc.check_session ~max_depth ~cancel ~obs entry.bmc ~bad with
             | Bmc.Counterexample trace ->
-                Engine.Violated { trace; model = entry.model }
+                (* The entry may have been built for another name of the
+                   same transition system: answer with this request's
+                   own model, so the name stays a label. *)
+                Engine.Violated { trace; model }
             | Bmc.No_counterexample (Some d) when d >= max_depth ->
                 Engine.Holds
                   { detail = Printf.sprintf "no counterexample up to depth %d" d }

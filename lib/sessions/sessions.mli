@@ -4,11 +4,14 @@
     A {e family} is the model structure modulo bound and property —
     concretely {!Symkit.Model.fingerprint} of the compiled model, which
     hashes the variable declarations, initial constraints and
-    transition relation but not the query's depth. Requests from the
-    same family (the service tier's "near-miss" traffic: same
-    configuration, different bound) check out a warm {!Symkit.Bmc}
-    session and reuse its BDD compilation, CNF unrolling, learned
-    clauses and per-property memo instead of starting cold.
+    transition relation but not the query's depth or the
+    configuration's name. Requests from the same family (the service
+    tier's "near-miss" traffic: same transition system, different
+    bound, possibly under another configuration name) check out a warm
+    {!Symkit.Bmc} session and reuse its BDD compilation, CNF
+    unrolling, learned clauses and per-property memo instead of
+    starting cold. A [Violated] answer carries the request's own model,
+    whichever name the session was first built for.
 
     Entries are checked out {e exclusively} (a session is a
     single-threaded stateful object); concurrent requests for one

@@ -143,11 +143,13 @@ let step_ok m s s' = List.for_all (fun e -> eval_trans m e s s') m.trans
 
 let initial_ok m s = List.for_all (fun e -> eval_pred m e s) m.init
 
-(* A content hash of the model: name, variable declarations (order
-   matters — it fixes the bit encoding) and every constraint, rendered
-   canonically and digested. Two models with the same fingerprint
-   denote the same transition system under the same encoding, which is
-   what the portfolio result cache keys on.
+(* A content hash of the model: variable declarations (order matters —
+   it fixes the bit encoding) and every constraint, rendered
+   canonically and digested. The name is a label and is not hashed:
+   two configurations that build the same transition system (the
+   passive, time-windows and small-shifting couplers do) share one
+   fingerprint, and so one verdict-cache entry, coalescing key, session
+   family and routing key.
 
    A model is immutable, so its hash is computed once and kept in [fp].
    Two domains racing on a fresh model may both compute it; they write
@@ -155,8 +157,6 @@ let initial_ok m s = List.for_all (fun e -> eval_pred m e s) m.init
    OCaml 5 forcing one lazy value from two domains at once raises.) *)
 let compute_fingerprint m =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf m.name;
-  Buffer.add_char buf '\n';
   List.iter
     (fun (v, d) ->
       Buffer.add_string buf v;

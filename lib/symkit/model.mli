@@ -72,10 +72,12 @@ val space_size : t -> float
 (** Size of the declared (not necessarily reachable) state space. *)
 
 val fingerprint : t -> string
-(** A content hash (hex digest) of the model: name, variable
-    declarations in order, and every init/transition constraint. Equal
+(** A content hash (hex digest) of the model: variable declarations
+    in order, and every init/transition constraint. The name is a label
+    and is not hashed, so two names may share one fingerprint. Equal
     fingerprints mean the same transition system under the same bit
-    encoding; the portfolio's persistent result cache keys on this.
+    encoding; the verdict cache, the scheduler's coalescing, the
+    session pool's families and the router's shards all key on this.
     Computed on the first call and memoized in the model, so every
     later call, from any domain, is a field read. *)
 

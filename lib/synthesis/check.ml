@@ -32,45 +32,48 @@ let of_engine_verdict = function
   | Tta_model.Engine.Unknown { detail } -> Undetermined detail
 
 (* ------------------------------------------------------------------ *)
-(* Direct path: one pool job per distinct configuration *)
+(* Direct path: one pool job per distinct transition system *)
 
-let direct ?domains ?faults ?(depth = 100) ~nodes cands =
-  let by_name = Hashtbl.create 8 in
+(* Candidates are deduplicated by model fingerprint, the key the
+   verdict cache, the daemon's coalescing, its session families and the
+   router all use: configurations that build one transition system
+   share one job, and each candidate keeps its own configuration. *)
+let direct ?domains ?obs ?faults ?(depth = 100) ~nodes cands =
   let keyed =
     List.map
       (fun c ->
         let cfg = lower ~nodes c in
-        let key = Tta_model.Configs.name cfg in
-        if not (Hashtbl.mem by_name key) then Hashtbl.add by_name key cfg;
-        (c, key))
+        (c, cfg, Symkit.Model.fingerprint (Tta_model.Build.model cfg)))
       cands
   in
   let uniq =
     List.fold_left
-      (fun acc (_, key) -> if List.mem_assoc key acc then acc else
-         (key, Hashtbl.find by_name key) :: acc)
+      (fun acc (_, cfg, fp) ->
+        if List.mem_assoc fp acc then acc else (fp, cfg) :: acc)
       [] keyed
     |> List.rev
   in
   let jobs =
     List.map
-      (fun (key, cfg) ->
-        Portfolio.job ~label:("synth/" ^ key)
+      (fun (_, cfg) ->
+        Portfolio.job
+          ~label:("synth/" ^ Tta_model.Configs.name cfg)
           ~engine:Tta_model.Engine.Bdd_reach ~max_depth:depth cfg)
       uniq
   in
-  let results = Portfolio.run_matrix ?domains ?faults jobs in
-  let verdicts = Hashtbl.create 8 in
-  List.iter2
-    (fun (key, _) (_, (r : Portfolio.result)) ->
-      Hashtbl.replace verdicts key (of_engine_verdict r.Portfolio.verdict))
-    uniq results;
+  let results = Portfolio.run_matrix ?domains ?obs ?faults jobs in
+  let verdicts =
+    List.map2
+      (fun (fp, _) (_, (r : Portfolio.result)) ->
+        (fp, of_engine_verdict r.Portfolio.verdict))
+      uniq results
+  in
   List.map
-    (fun (c, key) ->
+    (fun (c, cfg, fp) ->
       {
         candidate = c;
-        config = Hashtbl.find by_name key;
-        verdict = Hashtbl.find verdicts key;
+        config = cfg;
+        verdict = List.assoc fp verdicts;
         reused_session = false;
         warm_depth = 0;
       })

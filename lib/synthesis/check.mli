@@ -7,12 +7,14 @@
     {!Tta_model.Configs.t} — the buffer/window/shift budgets are
     physical-layer provisioning that the analytic pre-filter already
     judged, while the protocol-logic consequences of the authority
-    level are what the model checker decides. The direct path therefore
-    deduplicates configurations and runs each once on the pool; the
-    service path sends one request per candidate on purpose — a sweep
-    is near-miss traffic by construction (few model families, many
-    bounds), which is exactly what the daemon's warm session pool
-    (doc/sessions.md) is built for, and each answer's
+    level are what the model checker decides. Configurations that
+    build one transition system share a {!Symkit.Model.fingerprint}
+    (passive, time windows and small shifting do). The direct path
+    therefore deduplicates by fingerprint and runs each system once on
+    the pool; the service path sends one request per candidate on
+    purpose — a sweep is near-miss traffic by construction (few model
+    families, many bounds), which is exactly what the daemon's warm
+    session pool (doc/sessions.md) is built for, and each answer's
     [reused_session]/[warm_depth] attribution is recorded per
     candidate. *)
 
@@ -40,16 +42,19 @@ val lower : nodes:int -> Space.candidate -> Tta_model.Configs.t
 
 val direct :
   ?domains:int ->
+  ?obs:Obs.Collector.t ->
   ?faults:Resilience.Faults.t ->
   ?depth:int ->
   nodes:int ->
   Space.candidate list ->
   outcome list
 (** Check candidates on the in-process {!Portfolio} pool: one BDD
-    reachability job per {e distinct} lowered configuration
-    ([depth] defaults to 100, conclusive at these cluster sizes), then
-    the shared verdict mapped back onto every candidate. Outcomes in
-    input order; [reused_session] is always [false] here. *)
+    reachability job per {e distinct} model fingerprint of the lowered
+    configurations ([depth] defaults to 100, conclusive at these
+    cluster sizes), then the shared verdict mapped back onto every
+    candidate, each with its own lowered configuration. Outcomes in
+    input order; [reused_session] is always [false] here. [obs]
+    receives the pool's counters, as in {!Portfolio.run_matrix}. *)
 
 val via_service :
   ?depth:int ->

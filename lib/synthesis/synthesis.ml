@@ -66,7 +66,10 @@ let run ?(seed = 1) ?sample ?(anchors = true) ?(nodes = 2) ?depth ?domains
   let checked =
     match via with
     | Direct ->
-        List.map (fun o -> Tta_model.Configs.name o.Check.config) outcomes
+        List.map
+          (fun o ->
+            Symkit.Model.fingerprint (Tta_model.Build.model o.Check.config))
+          outcomes
         |> List.sort_uniq String.compare |> List.length
     | Service _ -> List.length outcomes
   in

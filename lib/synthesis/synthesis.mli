@@ -32,8 +32,9 @@ type report = {
   rejections : (string * int) list;  (** per-equation counts *)
   survivors : int;  (** candidates inside the envelope *)
   checked : int;
-      (** model-checker runs: distinct configurations on the direct
-          path, wire requests on the service path *)
+      (** model-checker runs: distinct transition systems (model
+          fingerprints) on the direct path, wire requests on the
+          service path *)
   upheld : int;
   breached : int;
   undetermined : int;

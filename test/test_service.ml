@@ -395,6 +395,33 @@ let test_scheduler_family_partitions_coalescing () =
   Alcotest.(check int) "one coalesced waiter" 1 st.Scheduler.coalesced;
   Alcotest.(check int) "all four answered" 4 st.Scheduler.completed
 
+let test_scheduler_names_of_one_system_coalesce () =
+  (* Passive and time windows build one transition system, so they
+     share one computation; each waiter still gets its own
+     configuration back. *)
+  let sched = Scheduler.create ~workers:1 () in
+  let passive = Configs.passive ~nodes ()
+  and time_windows = Configs.time_windows ~nodes () in
+  let results = ref [] and lock = Mutex.create () in
+  let submit cfg =
+    submit_collect sched ~engines:[ Engine.Bdd_reach ] ~max_depth:50 cfg
+      results lock
+  in
+  let a1 = submit passive in
+  let a2 = submit time_windows in
+  Alcotest.(check bool) "first queues" true (a1 = `Queued);
+  Alcotest.(check bool) "other name coalesces" true (a2 = `Coalesced);
+  Scheduler.drain sched;
+  Alcotest.(check int) "one engine run" 1
+    (Scheduler.stats sched).Scheduler.runs;
+  Alcotest.(check (list string)) "each answer keeps its name"
+    [ "passive"; "time-windows" ]
+    (List.sort compare
+       (List.map
+          (fun (o : Scheduler.outcome) ->
+            Configs.name o.Scheduler.result.Portfolio.config)
+          !results))
+
 let test_scheduler_cache_hit () =
   let cache = Portfolio.Cache.create ~dir:(temp_dir ()) () in
   let sched = Scheduler.create ~workers:1 ~cache () in
@@ -491,7 +518,8 @@ let test_scheduler_expired_deadline_skips_run () =
 let test_scheduler_sheds_over_cap () =
   (* One worker, queue capped at 1: occupy the worker with one slow
      computation, fill the single queue slot with a second, and watch
-     a third (distinct — coalescing never sheds) bounce. *)
+     a third (a distinct transition system — coalescing never sheds)
+     bounce. *)
   let sched = Scheduler.create ~workers:1 ~queue_cap:1 () in
   let results = ref [] and lock = Mutex.create () in
   let submit cfg =
@@ -509,7 +537,9 @@ let test_scheduler_sheds_over_cap () =
   in
   wait_pickup 200;
   let a2 = submit (Configs.small_shifting ~nodes ()) in
-  let a3 = submit (Configs.time_windows ~nodes ()) in
+  let a3 =
+    submit (Configs.full_shifting ~nodes ~forbid_cold_start_duplication:true ())
+  in
   Alcotest.(check bool) "first admitted" true (a1 = `Queued);
   Alcotest.(check bool) "second queued" true (a2 = `Queued);
   Alcotest.(check bool) "third shed" true (a3 = `Shed);
@@ -1248,6 +1278,8 @@ let () =
             test_scheduler_crash_still_answers;
           Alcotest.test_case "warm sessions serve near-miss requests" `Quick
             test_scheduler_warm_sessions;
+          Alcotest.test_case "names of one system coalesce" `Quick
+            test_scheduler_names_of_one_system_coalesce;
         ] );
       ( "net",
         [

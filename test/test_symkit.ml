@@ -1012,8 +1012,9 @@ let test_bmc_session_pin () =
 (* Key pins. Every verdict-cache entry, consistent-hash ring slot and
    warm-session family is named by [Model.fingerprint], which digests
    the text [Expr.to_buffer] prints; a printer change would silently
-   re-key them all. The digests below are those the repository has
-   always produced, so existing cache directories stay valid. *)
+   re-key them all. The digests below are the content-only ones (the
+   model name is not hashed), so a cache directory written with them
+   stays valid. *)
 let test_expr_printer_goldens () =
   let open Expr in
   let cases =
@@ -1054,20 +1055,78 @@ let test_fingerprint_goldens () =
   List.iter
     (fun (label, cfg, want) -> Alcotest.(check string) label want (fp cfg))
     [
-      ("2-node passive", C.passive ~nodes:2 (), "3fb0d1b546a8a283d818adf8408ccf6c");
+      ("2-node passive", C.passive ~nodes:2 (), "fc2898a6f1bbc81e6c5d994901a334f5");
       ( "2-node full-shifting",
         C.full_shifting ~nodes:2 (),
-        "8bde9b5c3da660cc8f7880ebe2bf956f" );
+        "1fc0c0a623813e0a324974905e76d27d" );
       ( "3-node time-windows",
         C.time_windows ~nodes:3 (),
-        "e5ce45d01286301e8eb5b5bcb0eec79d" );
+        "974a897158f846aef54be50bd164f2dc" );
       ( "3-node full-shifting, no cold-start duplication",
         C.full_shifting ~nodes:3 ~forbid_cold_start_duplication:true (),
-        "bda46e481acb1a6423e40be4b6bfdf16" );
+        "25fb4b1ba83421c32f8ee315d4d79d79" );
       ( "4-node full-shifting",
         C.full_shifting ~nodes:4 (),
-        "3b146d2a3a86f24b4f61ef9dbd0f0539" );
+        "7c16c35fa154dfb087a40b6d6964d715" );
     ]
+
+(* The fingerprint's equivalence classes. The three non-buffering
+   couplers differ only in which fault modes they allow, and in this
+   model that leaves their transition systems identical, with or
+   without a protocol ablation; full shifting buffers frames and is a
+   system of its own. If a model refinement separates these classes,
+   this pin fails on purpose: the shared cache, coalescing, session
+   and routing keys would then split with them. *)
+let test_fingerprint_classes () =
+  let module C = Tta_model.Configs in
+  let module F = Guardian.Feature_set in
+  let fp cfg = Model.fingerprint (Tta_model.Build.model cfg) in
+  let ablations = [ C.No_big_bang; C.No_listen_hold; C.No_timeout_stagger ] in
+  List.iter
+    (fun nodes ->
+      let same label cfgs =
+        let first = fp (List.hd cfgs) in
+        List.iter
+          (fun cfg ->
+            Alcotest.(check string)
+              (Printf.sprintf "%d nodes: %s" nodes label) first (fp cfg))
+          cfgs;
+        (label, first)
+      in
+      let non_buffering variant =
+        List.map
+          (fun fs -> C.make ~nodes ~variant fs)
+          [ F.Passive; F.Time_windows; F.Small_shifting ]
+      in
+      let classes =
+        same "E1 = E2 = E3" (non_buffering C.Standard)
+        :: List.map
+             (fun v -> same (C.variant_to_string v) (non_buffering v))
+             ablations
+      in
+      let singles =
+        ("E4", fp (C.full_shifting ~nodes ()))
+        :: ( "E5",
+             fp (C.full_shifting ~nodes ~forbid_cold_start_duplication:true ())
+           )
+        :: List.map
+             (fun v ->
+               ( "full-shifting+" ^ C.variant_to_string v,
+                 fp (C.make ~nodes ~oos_budget:1 ~variant:v F.Full_shifting) ))
+             ablations
+      in
+      let all = classes @ singles in
+      List.iteri
+        (fun i (a, fa) ->
+          List.iteri
+            (fun j (b, fb) ->
+              if i < j then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%d nodes: %s <> %s" nodes a b)
+                  false (String.equal fa fb))
+            all)
+        all)
+    [ 2; 3; 4 ]
 
 (* One model per configuration, its fingerprint memoized in it: a
    repeat [Build.model] on a structurally equal (freshly allocated)
@@ -1170,6 +1229,8 @@ let suite =
       test_fingerprint_goldens;
     Alcotest.test_case "fingerprint memo" `Quick test_fingerprint_memo;
     Alcotest.test_case "fingerprint domain race" `Quick test_fingerprint_race;
+    Alcotest.test_case "fingerprint equivalence classes" `Quick
+      test_fingerprint_classes;
   ]
   @ qtests
 

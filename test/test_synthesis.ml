@@ -253,6 +253,31 @@ let test_run_reproduces_paper () =
         p.Synthesis.Pareto.objectives.Synthesis.Pareto.upheld)
     r.Synthesis.frontier
 
+(* The direct path runs one pool job per transition system: the four
+   paper anchors, each listed twice, lower to four configurations, and
+   passive, time windows and small shifting are one system. *)
+let test_direct_one_job_per_system () =
+  let anchors = Synthesis.Space.paper_candidates space in
+  let cands = anchors @ anchors in
+  let col = Obs.Collector.create () in
+  let outcomes = Synthesis.Check.direct ~domains:1 ~obs:col ~nodes:2 cands in
+  Alcotest.(check int) "two pool jobs" 2
+    (List.assoc "pool.tasks" (Obs.Collector.totals col));
+  Alcotest.(check int) "one outcome per candidate" 8 (List.length outcomes);
+  List.iter2
+    (fun c (o : Synthesis.Check.outcome) ->
+      let fs = c.Synthesis.Space.feature_set in
+      Alcotest.(check string)
+        (Synthesis.Space.candidate_key c ^ ": own configuration")
+        (Tta_model.Configs.name (Synthesis.Check.lower ~nodes:2 c))
+        (Tta_model.Configs.name o.Synthesis.Check.config);
+      Alcotest.(check string)
+        (Synthesis.Space.candidate_key c ^ ": verdict")
+        (if fs = Guardian.Feature_set.Full_shifting then "breached"
+         else "upheld")
+        (Synthesis.Check.verdict_label o.Synthesis.Check.verdict))
+    cands outcomes
+
 let test_analytic_checker_agreement_matrix () =
   (* Across the Section 5 matrix configs: the model checker's verdict
      never rescues a candidate the envelope rejects — survivors are
@@ -260,7 +285,10 @@ let test_analytic_checker_agreement_matrix () =
      shifting) is a protocol-logic fact, not an envelope one. *)
   let r = Synthesis.run ~seed:3 ~sample:0 ~nodes:2 space in
   Alcotest.(check int) "anchors only" 4 r.Synthesis.survivors;
-  Alcotest.(check int) "one run per Section 5 config" 4 r.Synthesis.checked;
+  (* Passive, time windows and small shifting are one transition
+     system, full shifting the other. *)
+  Alcotest.(check int) "one run per transition system" 2
+    r.Synthesis.checked;
   Alcotest.(check int) "breached configs" 1 r.Synthesis.breached;
   Alcotest.(check int) "upheld configs" 3 r.Synthesis.upheld
 
@@ -339,6 +367,8 @@ let () =
             test_run_reproduces_paper;
           Alcotest.test_case "Section 5 matrix agreement" `Quick
             test_analytic_checker_agreement_matrix;
+          Alcotest.test_case "direct path: one job per system" `Quick
+            test_direct_one_job_per_system;
         ] );
       ( "service",
         [
