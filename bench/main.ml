@@ -323,23 +323,38 @@ let section_extensions () =
    count and trace length. Each row times the compile (Enc.create and
    Enc.schedule) apart from the fixpoint; at 4 nodes the run fails
    unless every row does exactly the pinned work below, so a compile
-   or kernel speedup cannot pass by doing different work. The
-   reference is the seed's recorded
-   88-121 s per 4-node experiment, not a rerun: the monolithic
-   relational product it used does not finish at paper scale in
-   minutes. *)
+   or kernel speedup cannot pass by doing different work. Each row also
+   records the process's peak resident set after it ([VmHWM], a running
+   maximum over the rows so far), since the kernel keeps every node it
+   allocates for as long as the manager lives. The reference is the
+   seed's recorded 88-121 s per 4-node experiment, not a rerun: the
+   monolithic relational product it used does not finish at paper
+   scale in minutes. *)
 
 let seed_reference_s = (88.0, 121.0)
 
-(* (nodes_allocated, iterations, partitions) of E1-E5 at 4 nodes. *)
+(* (nodes_allocated, iterations, partitions, cache_hits, cache_misses)
+   of E1-E5 at 4 nodes. *)
 let paper_scale_work =
   [
-    (1288952, 31, 14);
-    (1288952, 31, 14);
-    (1288952, 31, 14);
-    (491185, 14, 15);
-    (582963, 16, 15);
+    (1288952, 31, 14, 906870, 3829902);
+    (1288952, 31, 14, 906870, 3829902);
+    (1288952, 31, 14, 906870, 3829902);
+    (491185, 14, 15, 362293, 1237393);
+    (582963, 16, 15, 414020, 1553077);
   ]
+
+(* The process's peak resident set so far in MB ([VmHWM]), 0 where
+   /proc is not readable. *)
+let vm_hwm_mb () =
+  match In_channel.with_open_bin "/proc/self/status" In_channel.input_all with
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             Scanf.sscanf_opt line "VmHWM: %d kB" (fun kb ->
+                 float_of_int kb /. 1024.))
+      |> Option.value ~default:0.
+  | exception Sys_error _ -> 0.
 
 (* E1-E5: E1-E3 safe, E4/E5 violated. *)
 let section5_configs ~nodes =
@@ -383,7 +398,10 @@ let section_reach ~nodes =
       | Symkit.Reach.Unsafe (t, s) -> ("violated", Array.length t, s)
       | Symkit.Reach.Depth_exhausted s -> ("exhausted", 0, s)
     in
-    let allocated = List.assoc "bdd.nodes_allocated" (Bdd.counters mgr) in
+    let counter k = List.assoc k (Bdd.counters mgr) in
+    let allocated = counter "bdd.nodes_allocated"
+    and hits = counter "bdd.cache_hits"
+    and misses = counter "bdd.cache_misses" in
     let partitions = Symkit.Enc.n_partitions enc in
     Printf.printf "  %-24s %-9s %4d %6d %9d %4d %7.3fs %7.2fs\n%!" cfg_name
       verdict trace_len stats.Symkit.Reach.iterations
@@ -399,10 +417,15 @@ let section_reach ~nodes =
           ("gc_count", Json.Int (Bdd.gc_count mgr));
           ("nodes_allocated", Json.Int allocated);
           ("bdd_peak_nodes", Json.Int (Bdd.peak_nodes mgr));
+          ("cache_hits", Json.Int hits);
+          ("cache_misses", Json.Int misses);
+          ("vm_hwm_mb", Json.Float (vm_hwm_mb ()));
           ("compile_s", Json.Float compile);
           ("wall_s", Json.Float wall);
         ],
-      (verdict, wall, (allocated, stats.Symkit.Reach.iterations, partitions))
+      ( verdict,
+        wall,
+        (allocated, stats.Symkit.Reach.iterations, partitions, hits, misses) )
     )
   in
   let rows, outcomes =
@@ -424,7 +447,8 @@ let section_reach ~nodes =
         verdicts = [ "safe"; "safe"; "safe"; "violated"; "violated" ] );
       ( "every row under 30 s",
         List.for_all (fun (_, w, _) -> w < 30.0) outcomes );
-      ( "4 nodes: allocations, iterations and partitions as pinned",
+      ( "4 nodes: allocations, iterations, partitions and cache traffic \
+         as pinned",
         nodes <> 4
         || List.map (fun (_, _, work) -> work) outcomes = paper_scale_work );
     ] )

@@ -1,38 +1,25 @@
-type t =
-  | Zero
-  | One
-  | Node of { uid : int; v : int; lo : t; hi : t; mutable mark : int }
-      (* [mark] is the generation of the last walk that visited the node
-         (see [fresh_mark]); it is never part of the node's identity. *)
+(* A diagram is an int handle: 0 is [zero], 1 is [one], and every other
+   handle is the uid of an internal node, issued from 2 in allocation
+   order and never reused. A node's fields live in its manager's flat
+   int pages, so creating one writes three ints and probing one reads
+   them back: no record is allocated, promoted or written through the
+   GC's barrier. *)
+type t = int
 
-let id = function Zero -> 0 | One -> 1 | Node n -> n.uid
+let id d = d
 
-let equal a b = a == b
+let equal (a : t) b = a = b
 
-let is_zero d = d == Zero
-let is_one d = d == One
+let is_zero d = d = 0
+let is_one d = d = 1
 
-let zero = Zero
-let one = One
+let zero = 0
+let one = 1
 
-let top_var = function
-  | Node n -> n.v
-  | Zero | One -> invalid_arg "Bdd.top_var: constant"
-
-let low = function
-  | Node n -> n.lo
-  | Zero | One -> invalid_arg "Bdd.low: constant"
-
-let high = function
-  | Node n -> n.hi
-  | Zero | One -> invalid_arg "Bdd.high: constant"
-
-(* A variable index strictly larger than any real variable, used as the
-   root index of constants so that order comparisons need no special
-   cases. *)
+(* A variable index strictly larger than any real variable, stored as
+   the root index of constants so that order comparisons need no
+   special cases. *)
 let leaf_var = max_int
-
-let var_of = function Zero | One -> leaf_var | Node n -> n.v
 
 let hash a b c =
   let h = (a * 0x9e3779b1) + (b * 0x85ebca77) + (c * 0xc2b2ae3d) in
@@ -41,9 +28,25 @@ let hash a b c =
 type varset = { vs_id : int; bits : Bytes.t; max_var : int }
 
 type manager = {
+  (* Node storage in pages of [page_size] nodes: node d is (v, lo, hi)
+     at offsets 3i, 3i+1 and 3i+2 of page [d / page_size], where
+     i = d mod page_size. The constants occupy handles 0 and 1 with
+     [leaf_var] as their root. Storage only grows, a page at a time, so
+     growing copies no node and leaves no garbage; a sweep takes nodes
+     out of the unique table, not out of here, so a handle stays
+     meaningful for as long as the manager lives. *)
+  mutable pages : int array array;
+  (* Walk state, indexed by handle and grown on demand to cover every
+     handle issued so far. [marks.[d]] is the generation of the last walk
+     that visited node d (see [fresh_gen]). [scratch] holds, in pages
+     laid out like node storage, that walk's memo value for d, valid
+     only while the mark matches. *)
+  mutable marks : Bytes.t;
+  mutable gen : int;
+  mutable scratch : int array array;
   (* Unique table: open addressing with linear probing on a node's own
-     (v, lo, hi); [Zero] marks an empty slot. Load stays <= 1/2. *)
-  mutable unique : t array;
+     (v, lo, hi); -1 marks an empty slot. Load stays <= 1/2. *)
+  mutable unique : int array;
   mutable live : int; (* unique-table population *)
   mutable next_uid : int;
   (* Computed table: direct-mapped, lossy, shared by every operation.
@@ -52,9 +55,9 @@ type manager = {
   mutable k1 : int array;
   mutable k2 : int array;
   mutable k3 : int array;
-  mutable res : t array;
+  mutable res : int array;
   mutable next_vs_id : int;
-  roots : (int, t * int) Hashtbl.t; (* uid -> (diagram, refcount) *)
+  roots : (int, int) Hashtbl.t; (* handle -> refcount *)
   mutable gc_watermark : int; (* allocations between sweeps; 0 = GC off *)
   mutable alloc_since_gc : int;
   (* Effort counters (plain ints: an increment per cache probe is
@@ -68,26 +71,53 @@ type manager = {
   mutable peak : int; (* largest unique-table population seen *)
 }
 
-(* Both tables start at [initial_slots]; the computed table doubles
-   with the unique table until it reaches [cache_cap] entries. *)
+(* The unique and computed tables start at [initial_slots] entries;
+   the computed table doubles with the unique table until it reaches
+   [cache_cap] entries. Node storage grows a page of [page_size] nodes
+   at a time. *)
 let initial_slots = 4096
 let cache_cap = 1 lsl 18
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
+(* Field [k] of node [d]. The offset is below the page's length by
+   construction, so only the page index is checked. *)
+let field pages d k =
+  Array.unsafe_get pages.(d lsr page_bits) ((3 * (d land page_mask)) + k)
+
+let var_of m d = field m.pages d 0
+let lo_of m d = field m.pages d 1
+let hi_of m d = field m.pages d 2
+
+let top_var m d =
+  if d < 2 then invalid_arg "Bdd.top_var: constant" else var_of m d
+
+let low m d = if d < 2 then invalid_arg "Bdd.low: constant" else lo_of m d
+let high m d = if d < 2 then invalid_arg "Bdd.high: constant" else hi_of m d
 
 let resize_cache m n =
   m.k1 <- Array.make n (-1);
   m.k2 <- Array.make n 0;
   m.k3 <- Array.make n 0;
-  m.res <- Array.make n Zero
+  m.res <- Array.make n (-1)
 
 let create_manager ?(gc_watermark = 0) () =
+  let page = Array.make (3 * page_size) 0 in
+  page.(0) <- leaf_var;
+  page.(3) <- leaf_var;
   {
-    unique = Array.make initial_slots Zero;
+    pages = [| page |];
+    marks = Bytes.empty;
+    gen = 0;
+    scratch = [||];
+    unique = Array.make initial_slots (-1);
     live = 0;
     next_uid = 2;
     k1 = Array.make initial_slots (-1);
     k2 = Array.make initial_slots 0;
     k3 = Array.make initial_slots 0;
-    res = Array.make initial_slots Zero;
+    res = Array.make initial_slots (-1);
     next_vs_id = 0;
     roots = Hashtbl.create 64;
     gc_watermark;
@@ -102,8 +132,7 @@ let create_manager ?(gc_watermark = 0) () =
 
 let clear_caches m =
   m.n_sweep <- m.n_sweep + 1;
-  Array.fill m.k1 0 (Array.length m.k1) (-1);
-  Array.fill m.res 0 (Array.length m.res) Zero
+  Array.fill m.k1 0 (Array.length m.k1) (-1)
 
 (* Operation tags folded into the computed table's first key. *)
 let op_and = 0
@@ -116,9 +145,7 @@ let q_exists = 6
 let q_forall = 7
 let q_and_exists = 8
 
-(* Returned by [cache_find] on a miss; never a real diagram. *)
-let absent = Node { uid = -1; v = leaf_var; lo = Zero; hi = Zero; mark = 0 }
-
+(* The result stored under the key, or -1 (never a handle) on a miss. *)
 let cache_find m tag a b c =
   let k = (a lsl 4) lor tag in
   let i = hash k b c land (Array.length m.k1 - 1) in
@@ -127,7 +154,7 @@ let cache_find m tag a b c =
     m.res.(i))
   else (
     m.n_miss <- m.n_miss + 1;
-    absent)
+    -1)
 
 (* Stores and returns [r]. The slot is recomputed, not remembered from
    [cache_find]: the recursion in between may have resized the table. *)
@@ -144,23 +171,27 @@ let cache_add m tag a b c r =
 
 (* The slot holding node (v, lo, hi), or the empty slot where it
    belongs. *)
-let rec probe tbl v lo hi i =
-  match Array.unsafe_get tbl i with
-  | Node n when n.v <> v || n.lo != lo || n.hi != hi ->
-      probe tbl v lo hi ((i + 1) land (Array.length tbl - 1))
-  | _ -> i
+let rec probe pages tbl v lo hi i =
+  let d = Array.unsafe_get tbl i in
+  if
+    d >= 0
+    && (field pages d 0 <> v || field pages d 1 <> lo || field pages d 2 <> hi)
+  then probe pages tbl v lo hi ((i + 1) land (Array.length tbl - 1))
+  else i
 
-let slot tbl v lo hi =
-  probe tbl v lo hi (hash v (id lo) (id hi) land (Array.length tbl - 1))
+let slot pages tbl v lo hi =
+  probe pages tbl v lo hi (hash v lo hi land (Array.length tbl - 1))
 
 (* Doubling the unique table keeps every node, so every computed-table
    entry stays true: rehash the filled ones into the larger computed
    table instead of starting it empty. *)
 let grow m =
   let old = m.unique in
-  let tbl = Array.make (2 * Array.length old) Zero in
+  let tbl = Array.make (2 * Array.length old) (-1) in
   Array.iter
-    (function Node n as d -> tbl.(slot tbl n.v n.lo n.hi) <- d | _ -> ())
+    (fun d ->
+      if d >= 0 then
+        tbl.(slot m.pages tbl (var_of m d) (lo_of m d) (hi_of m d)) <- d)
     old;
   m.unique <- tbl;
   if Array.length m.k1 < cache_cap then begin
@@ -173,78 +204,85 @@ let grow m =
 
 (* Hash-consing constructor with the two ROBDD reduction rules. *)
 let mk m v lo hi =
-  if lo == hi then lo
+  if lo = hi then lo
   else
-    let i = slot m.unique v lo hi in
-    match m.unique.(i) with
-    | Zero ->
-        let d = Node { uid = m.next_uid; v; lo; hi; mark = 0 } in
-        m.unique.(i) <- d;
-        m.next_uid <- m.next_uid + 1;
-        m.n_alloc <- m.n_alloc + 1;
-        m.alloc_since_gc <- m.alloc_since_gc + 1;
-        m.live <- m.live + 1;
-        if m.live > m.peak then m.peak <- m.live;
-        if 2 * m.live > Array.length m.unique then grow m;
-        d
-    | d -> d
+    let i = slot m.pages m.unique v lo hi in
+    let d = m.unique.(i) in
+    if d >= 0 then d
+    else begin
+      let d = m.next_uid in
+      if d lsr page_bits = Array.length m.pages then
+        m.pages <- Array.append m.pages [| Array.make (3 * page_size) 0 |];
+      let page = m.pages.(d lsr page_bits) and b = 3 * (d land page_mask) in
+      page.(b) <- v;
+      page.(b + 1) <- lo;
+      page.(b + 2) <- hi;
+      m.unique.(i) <- d;
+      m.next_uid <- d + 1;
+      m.n_alloc <- m.n_alloc + 1;
+      m.alloc_since_gc <- m.alloc_since_gc + 1;
+      m.live <- m.live + 1;
+      if m.live > m.peak then m.peak <- m.live;
+      if 2 * m.live > Array.length m.unique then grow m;
+      d
+    end
 
 (* ------------------------------------------------------------------ *)
-(* Root registry and mark-and-sweep node reclamation.
+(* Root registry and mark-and-sweep reclamation of the unique table.
 
    Hash-consing never forgets a node, so a long fixpoint run grows the
    unique table with every intermediate result it will never look at
    again. The registry lets a client name the diagrams it still holds;
    [gc] then rebuilds the unique table from the nodes they reach and
-   clears the computed table (whose entries may reference swept nodes),
-   making the dead nodes collectible by the OCaml GC.
+   clears the computed table (whose entries may name swept nodes), so
+   both tables stay the size of the live diagrams. Node storage is
+   left alone: handles are never reused, so a swept node keeps its
+   fields and an unrooted handle still denotes its function.
 
    Canonicity survives a sweep because reachability is closed under
    subdiagrams: every kept node's children are kept, and any later
-   [mk] rebuilds bottom-up, finding the kept copies in the unique
-   table before it can allocate a duplicate. The one obligation is the
+   [mk] rebuilds bottom-up, finding the kept nodes in the unique table
+   before it can allocate a duplicate. The one obligation is the
    client's: at the moment [gc]/[maybe_gc] runs, every diagram it
-   intends to keep using must be reachable from a registered root. *)
+   intends to keep using as canonical must be reachable from a
+   registered root. *)
 
 let root_incr m d =
-  match d with
-  | Zero | One -> () (* constants are never in the unique table *)
-  | Node n -> (
-      match Hashtbl.find_opt m.roots n.uid with
-      | Some (_, k) -> Hashtbl.replace m.roots n.uid (d, k + 1)
-      | None -> Hashtbl.replace m.roots n.uid (d, 1))
+  if d >= 2 then
+    (* constants are never in the unique table *)
+    match Hashtbl.find_opt m.roots d with
+    | Some k -> Hashtbl.replace m.roots d (k + 1)
+    | None -> Hashtbl.replace m.roots d 1
 
 let root_decr m d =
-  match d with
-  | Zero | One -> ()
-  | Node n -> (
-      match Hashtbl.find_opt m.roots n.uid with
-      | Some (_, 1) -> Hashtbl.remove m.roots n.uid
-      | Some (_, k) -> Hashtbl.replace m.roots n.uid (d, k - 1)
-      | None -> invalid_arg "Bdd.deref: not a registered root")
+  if d >= 2 then
+    match Hashtbl.find_opt m.roots d with
+    | Some 1 -> Hashtbl.remove m.roots d
+    | Some k -> Hashtbl.replace m.roots d (k - 1)
+    | None -> invalid_arg "Bdd.deref: not a registered root"
 
 let gc m =
   m.n_gc <- m.n_gc + 1;
   m.alloc_since_gc <- 0;
   (* The fresh table doubles as the mark set. Recursion depth is bounded
      by the variable count: the diagrams are ordered. *)
-  let tbl = Array.make (Array.length m.unique) Zero in
+  let tbl = Array.make (Array.length m.unique) (-1) in
   m.unique <- tbl;
   m.live <- 0;
-  let rec mark = function
-    | Zero | One -> ()
-    | Node n as d ->
-        let i = slot tbl n.v n.lo n.hi in
-        if tbl.(i) == Zero then begin
-          tbl.(i) <- d;
-          m.live <- m.live + 1;
-          mark n.lo;
-          mark n.hi
-        end
+  let rec mark d =
+    if d >= 2 then begin
+      let i = slot m.pages tbl (var_of m d) (lo_of m d) (hi_of m d) in
+      if tbl.(i) < 0 then begin
+        tbl.(i) <- d;
+        m.live <- m.live + 1;
+        mark (lo_of m d);
+        mark (hi_of m d)
+      end
+    end
   in
-  Hashtbl.iter (fun _ (d, _) -> mark d) m.roots;
-  (* A stale computed-table hit would resurrect a swept node as a
-     physically distinct twin of a future rebuild. *)
+  Hashtbl.iter (fun d _ -> mark d) m.roots;
+  (* A stale computed-table hit would resurrect a swept node as a twin
+     of a future rebuild. *)
   clear_caches m
 
 let maybe_gc m =
@@ -260,60 +298,59 @@ let gc_count m = m.n_gc
 
 let var m i =
   if i < 0 || i >= leaf_var then invalid_arg "Bdd.var: bad index";
-  mk m i Zero One
+  mk m i zero one
 
 let nvar m i =
   if i < 0 || i >= leaf_var then invalid_arg "Bdd.nvar: bad index";
-  mk m i One Zero
+  mk m i one zero
 
 let rec dnot m d =
-  match d with
-  | Zero -> One
-  | One -> Zero
-  | Node n ->
-      let r = cache_find m op_not n.uid 0 0 in
-      if r != absent then r
-      else cache_add m op_not n.uid 0 0 (mk m n.v (dnot m n.lo) (dnot m n.hi))
+  if d < 2 then 1 - d
+  else
+    let r = cache_find m op_not d 0 0 in
+    if r >= 0 then r
+    else
+      cache_add m op_not d 0 0
+        (mk m (var_of m d) (dnot m (lo_of m d)) (dnot m (hi_of m d)))
 
 (* Binary boolean operations share one memoized apply; the op code keys
    the cache. Terminal cases are dispatched per operation. *)
 let rec apply m op a b =
-  let terminal =
-    match op with
-    | 0 -> (
-        (* and *)
-        match (a, b) with
-        | Zero, _ | _, Zero -> Some Zero
-        | One, x | x, One -> Some x
-        | _ -> if a == b then Some a else None)
-    | 1 -> (
-        (* or *)
-        match (a, b) with
-        | One, _ | _, One -> Some One
-        | Zero, x | x, Zero -> Some x
-        | _ -> if a == b then Some a else None)
-    | _ -> (
-        (* xor *)
-        match (a, b) with
-        | Zero, x | x, Zero -> Some x
-        | One, x -> Some (dnot m x)
-        | x, One -> Some (dnot m x)
-        | _ -> if a == b then Some Zero else None)
-  in
-  match terminal with
-  | Some r -> r
-  | None ->
-      (* Commutative: normalize the cache key. *)
-      let ia = id a and ib = id b in
-      let i1, i2 = if ia <= ib then (ia, ib) else (ib, ia) in
-      let r = cache_find m op i1 i2 0 in
-      if r != absent then r
-      else
-        let va = var_of a and vb = var_of b in
-        let v = min va vb in
-        let a0, a1 = if va = v then (low a, high a) else (a, a) in
-        let b0, b1 = if vb = v then (low b, high b) else (b, b) in
-        cache_add m op i1 i2 0 (mk m v (apply m op a0 b0) (apply m op a1 b1))
+  match op with
+  | 0 ->
+      (* and *)
+      if a = 0 || b = 0 then 0
+      else if a = 1 then b
+      else if b = 1 || a = b then a
+      else apply_node m op a b
+  | 1 ->
+      (* or *)
+      if a = 1 || b = 1 then 1
+      else if a = 0 then b
+      else if b = 0 || a = b then a
+      else apply_node m op a b
+  | _ ->
+      (* xor *)
+      if a = 0 then b
+      else if b = 0 then a
+      else if a = 1 then dnot m b
+      else if b = 1 then dnot m a
+      else if a = b then 0
+      else apply_node m op a b
+
+and apply_node m op a b =
+  (* Commutative: normalize the cache key. *)
+  let i1 = if a <= b then a else b and i2 = if a <= b then b else a in
+  let r = cache_find m op i1 i2 0 in
+  if r >= 0 then r
+  else
+    let va = var_of m a and vb = var_of m b in
+    let v = if va <= vb then va else vb in
+    let a0 = if va = v then lo_of m a else a
+    and a1 = if va = v then hi_of m a else a
+    and b0 = if vb = v then lo_of m b else b
+    and b1 = if vb = v then hi_of m b else b in
+    cache_add m op i1 i2 0 (mk m v (apply m op a0 b0) (apply m op a1 b1))
 
 let dand m a b = apply m op_and a b
 let dor m a b = apply m op_or a b
@@ -322,65 +359,96 @@ let iff m a b = dnot m (xor m a b)
 let imp m a b = dor m (dnot m a) b
 
 let rec ite m f g h =
-  match f with
-  | One -> g
-  | Zero -> h
-  | Node _ ->
-      if g == h then g
-      else if g == One && h == Zero then f
-      else
-        let r = cache_find m op_ite (id f) (id g) (id h) in
-        if r != absent then r
-        else
-          let v = min (var_of f) (min (var_of g) (var_of h)) in
-          let cof d = if var_of d = v then (low d, high d) else (d, d) in
-          let f0, f1 = cof f and g0, g1 = cof g and h0, h1 = cof h in
-          cache_add m op_ite (id f) (id g) (id h)
-            (mk m v (ite m f0 g0 h0) (ite m f1 g1 h1))
+  if f = 1 then g
+  else if f = 0 then h
+  else if g = h then g
+  else if g = 1 && h = 0 then f
+  else
+    let r = cache_find m op_ite f g h in
+    if r >= 0 then r
+    else
+      let vf = var_of m f and vg = var_of m g and vh = var_of m h in
+      let v = if vg <= vh then vg else vh in
+      let v = if vf <= v then vf else v in
+      let f0 = if vf = v then lo_of m f else f
+      and f1 = if vf = v then hi_of m f else f
+      and g0 = if vg = v then lo_of m g else g
+      and g1 = if vg = v then hi_of m g else g
+      and h0 = if vh = v then lo_of m h else h
+      and h1 = if vh = v then hi_of m h else h in
+      cache_add m op_ite f g h (mk m v (ite m f0 g0 h0) (ite m f1 g1 h1))
 
-let conj m l = List.fold_left (dand m) One l
-let disj m l = List.fold_left (dor m) Zero l
+let conj m l = List.fold_left (dand m) one l
+let disj m l = List.fold_left (dor m) zero l
 
-(* Walks visit each node once by marking it with a generation no
-   earlier walk used, so they need no visited set. The counter is
-   shared by every manager and domain; a diagram itself is walked by
-   one domain at a time, like every other operation on its manager. *)
-let generation = Atomic.make 0
-let fresh_mark () = Atomic.fetch_and_add generation 1 + 1
+(* Walks visit each node once by stamping it with a generation no
+   earlier walk of the manager has used, so they need no visited set.
+   A generation is one byte: after 255 walks the marks are cleared and
+   the count starts over. The stamps are per manager, so a manager is
+   walked by one domain at a time, like every other operation on it. *)
+let fresh_gen m =
+  let n = m.next_uid in
+  if Bytes.length m.marks < n then begin
+    let b = Bytes.make (max n (2 * Bytes.length m.marks)) '\000' in
+    Bytes.blit m.marks 0 b 0 (Bytes.length m.marks);
+    m.marks <- b
+  end;
+  if m.gen = 255 then begin
+    Bytes.fill m.marks 0 (Bytes.length m.marks) '\000';
+    m.gen <- 0
+  end;
+  m.gen <- m.gen + 1;
+  Char.chr m.gen
 
-let size d =
-  let g = fresh_mark () in
-  let rec go acc = function
-    | Zero | One -> acc
-    | Node n ->
-        if n.mark = g then acc
-        else begin
-          n.mark <- g;
-          go (go (acc + 1) n.lo) n.hi
-        end
+(* [fresh_gen] for a walk that memoizes a value per visited node in
+   [scratch]. The pages are added, never copied: no value outlives its
+   walk. *)
+let fresh_memo m =
+  let g = fresh_gen m in
+  let have = Array.length m.scratch
+  and need = (m.next_uid + page_mask) lsr page_bits in
+  if have < need then
+    m.scratch <-
+      Array.append m.scratch
+        (Array.init (need - have) (fun _ -> Array.make page_size 0));
+  g
+
+let memo m d = m.scratch.(d lsr page_bits).(d land page_mask)
+let set_memo m d r = m.scratch.(d lsr page_bits).(d land page_mask) <- r
+
+let visited m g d = Bytes.get m.marks d = g
+let stamp m g d = Bytes.set m.marks d g
+
+let size m d =
+  let g = fresh_gen m in
+  let rec go acc d =
+    if d < 2 || visited m g d then acc
+    else begin
+      stamp m g d;
+      go (go (acc + 1) (lo_of m d)) (hi_of m d)
+    end
   in
   go 0 d
 
-let support d =
-  let g = fresh_mark () in
+let support m d =
+  let g = fresh_gen m in
   (* seen.[v] = '\001' iff variable v labels a visited node *)
   let seen = Stdlib.ref (Bytes.make 64 '\000') and top = Stdlib.ref (-1) in
-  let rec go = function
-    | Zero | One -> ()
-    | Node n ->
-        if n.mark <> g then begin
-          n.mark <- g;
-          let len = Bytes.length !seen in
-          if n.v >= len then begin
-            let b = Bytes.make (max (2 * len) (n.v + 1)) '\000' in
-            Bytes.blit !seen 0 b 0 len;
-            seen := b
-          end;
-          Bytes.set !seen n.v '\001';
-          if n.v > !top then top := n.v;
-          go n.lo;
-          go n.hi
-        end
+  let rec go d =
+    if d >= 2 && not (visited m g d) then begin
+      stamp m g d;
+      let v = var_of m d in
+      let len = Bytes.length !seen in
+      if v >= len then begin
+        let b = Bytes.make (max (2 * len) (v + 1)) '\000' in
+        Bytes.blit !seen 0 b 0 len;
+        seen := b
+      end;
+      Bytes.set !seen v '\001';
+      if v > !top then top := v;
+      go (lo_of m d);
+      go (hi_of m d)
+    end
   in
   go d;
   let rec collect acc v =
@@ -406,83 +474,70 @@ let vs_mem vs v = v <= vs.max_var && Bytes.get vs.bits v = '\001'
 (* Quantifications key the computed table by (op, node, varset): the
    unary ones with their op tag, and_exists with its own. *)
 let rec quant m op vs d =
-  match d with
-  | Zero | One -> d
-  | Node n ->
-      if n.v > vs.max_var then d
+  if d < 2 then d
+  else
+    let v = var_of m d in
+    if v > vs.max_var then d
+    else
+      let r = cache_find m op d vs.vs_id 0 in
+      if r >= 0 then r
       else
-        let r = cache_find m op n.uid vs.vs_id 0 in
-        if r != absent then r
-        else
-          let l = quant m op vs n.lo and h = quant m op vs n.hi in
-          let r =
-            if vs_mem vs n.v then
-              if op = q_exists then dor m l h else dand m l h
-            else mk m n.v l h
-          in
-          cache_add m op n.uid vs.vs_id 0 r
+        let l = quant m op vs (lo_of m d) and h = quant m op vs (hi_of m d) in
+        let r =
+          if vs_mem vs v then if op = q_exists then dor m l h else dand m l h
+          else mk m v l h
+        in
+        cache_add m op d vs.vs_id 0 r
 
 let exists m vs d = quant m q_exists vs d
 let forall m vs d = quant m q_forall vs d
 
 let rec and_exists m vs a b =
-  match (a, b) with
-  | Zero, _ | _, Zero -> Zero
-  | One, d | d, One -> quant m q_exists vs d
-  | Node _, Node _ ->
-      if a == b then quant m q_exists vs a
-      else
-        let ia = id a and ib = id b in
-        let i1, i2 = if ia <= ib then (ia, ib) else (ib, ia) in
-        let r = cache_find m q_and_exists i1 i2 vs.vs_id in
-        if r != absent then r
-        else
-          let va = var_of a and vb = var_of b in
-          let v = min va vb in
-          let a0, a1 = if va = v then (low a, high a) else (a, a) in
-          let b0, b1 = if vb = v then (low b, high b) else (b, b) in
-          let r =
-            if v > vs.max_var then
-              (* No quantified variable can appear below: plain and. *)
-              dand m a b
-            else if vs_mem vs v then
-              let l = and_exists m vs a0 b0 in
-              if l == One then One else dor m l (and_exists m vs a1 b1)
-            else mk m v (and_exists m vs a0 b0) (and_exists m vs a1 b1)
-          in
-          cache_add m q_and_exists i1 i2 vs.vs_id r
+  if a = 0 || b = 0 then 0
+  else if a = 1 then quant m q_exists vs b
+  else if b = 1 || a = b then quant m q_exists vs a
+  else
+    let i1 = if a <= b then a else b and i2 = if a <= b then b else a in
+    let r = cache_find m q_and_exists i1 i2 vs.vs_id in
+    if r >= 0 then r
+    else
+      let va = var_of m a and vb = var_of m b in
+      let v = if va <= vb then va else vb in
+      let a0 = if va = v then lo_of m a else a
+      and a1 = if va = v then hi_of m a else a
+      and b0 = if vb = v then lo_of m b else b
+      and b1 = if vb = v then hi_of m b else b in
+      let r =
+        if v > vs.max_var then
+          (* No quantified variable can appear below: plain and. *)
+          dand m a b
+        else if vs_mem vs v then
+          let l = and_exists m vs a0 b0 in
+          if l = 1 then 1 else dor m l (and_exists m vs a1 b1)
+        else mk m v (and_exists m vs a0 b0) (and_exists m vs a1 b1)
+      in
+      cache_add m q_and_exists i1 i2 vs.vs_id r
 
+(* One renaming per call, memoized per source node in [scratch]. [f]
+   runs inside the walk, so it must not walk this manager itself. *)
 let rename m f d =
-  let memo = Hashtbl.create 256 in
-  let rec go = function
-    | Zero -> Zero
-    | One -> One
-    | Node n -> (
-        match Hashtbl.find_opt memo n.uid with
-        | Some r -> r
-        | None ->
-            let l = go n.lo and h = go n.hi in
-            let v' = f n.v in
-            (* Monotonicity check: the renamed root must still be above
-               both renamed children (constants report [leaf_var]). *)
-            if v' >= var_of l || v' >= var_of h then
-              invalid_arg "Bdd.rename: order-violating substitution";
-            let r = mk m v' l h in
-            Hashtbl.add memo n.uid r;
-            r)
+  let g = fresh_memo m in
+  let rec go d =
+    if d < 2 then d
+    else if visited m g d then memo m d
+    else
+      let l = go (lo_of m d) and h = go (hi_of m d) in
+      let v' = f (var_of m d) in
+      (* Monotonicity check: the renamed root must still be above both
+         renamed children (constants report [leaf_var]). *)
+      if v' >= var_of m l || v' >= var_of m h then
+        invalid_arg "Bdd.rename: order-violating substitution";
+      let r = mk m v' l h in
+      stamp m g d;
+      set_memo m d r;
+      r
   in
   go d
-
-let rec cofactor m i b d =
-  match d with
-  | Zero | One -> d
-  | Node n ->
-      if n.v > i then d
-      else if n.v = i then if b then n.hi else n.lo
-      else
-        (* Memoization piggybacks on the unique table via mk; recursion
-           cost is bounded by diagram size in practice for our use. *)
-        mk m n.v (cofactor m i b n.lo) (cofactor m i b n.hi)
 
 (* Coudert–Madre generalized cofactor ("restrict"): simplify [f] using
    [c] as a care set. The result agrees with [f] wherever [c] holds and
@@ -491,88 +546,84 @@ let rec cofactor m i b d =
    collapses onto the other branch of [f]. Memoized under its own tag
    (non-commutative key). *)
 let rec restrict m f c =
-  if c == One || f == Zero || f == One then f
-  else if c == Zero then f (* empty care set: nothing to preserve *)
-  else if f == c then One
+  if c = 1 || f < 2 then f
+  else if c = 0 then f (* empty care set: nothing to preserve *)
+  else if f = c then 1
   else
-    let r = cache_find m op_restrict (id f) (id c) 0 in
-    if r != absent then r
+    let r = cache_find m op_restrict f c 0 in
+    if r >= 0 then r
     else
-      let vf = var_of f and vc = var_of c in
+      let vf = var_of m f and vc = var_of m c in
       let r =
         if vc < vf then
           (* The care set branches above [f]: no cofactor of [f] to
              pick, so forget the distinction ([exists vc c]). *)
-          restrict m f (dor m (low c) (high c))
+          restrict m f (dor m (lo_of m c) (hi_of m c))
         else
-          let v = vf in
-          let c0, c1 = if vc = v then (low c, high c) else (c, c) in
-          if c0 == Zero then restrict m (high f) c1
-          else if c1 == Zero then restrict m (low f) c0
-          else mk m v (restrict m (low f) c0) (restrict m (high f) c1)
+          let c0 = if vc = vf then lo_of m c else c
+          and c1 = if vc = vf then hi_of m c else c in
+          if c0 = 0 then restrict m (hi_of m f) c1
+          else if c1 = 0 then restrict m (lo_of m f) c0
+          else
+            mk m vf (restrict m (lo_of m f) c0) (restrict m (hi_of m f) c1)
       in
-      cache_add m op_restrict (id f) (id c) 0 r
+      cache_add m op_restrict f c 0 r
 
-let any_sat d =
-  let rec go acc = function
-    | Zero -> raise Not_found
-    | One -> List.rev acc
-    | Node n ->
-        if n.lo == Zero then go ((n.v, true) :: acc) n.hi
-        else go ((n.v, false) :: acc) n.lo
+let any_sat m d =
+  let rec go acc d =
+    if d = 0 then raise Not_found
+    else if d = 1 then List.rev acc
+    else if lo_of m d = 0 then go ((var_of m d, true) :: acc) (hi_of m d)
+    else go ((var_of m d, false) :: acc) (lo_of m d)
   in
   go [] d
 
+(* count d = assignments of the variables from d's root down that
+   satisfy d. A node's count is kept in [counts], at the index its
+   [scratch] entry holds. *)
 let sat_count m ~nvars d =
-  ignore m;
-  let memo = Hashtbl.create 256 in
-  (* count d = assignments over variables >= v_above extending to sat;
-     normalize by tracking the root variable of each subdiagram. *)
+  let g = fresh_memo m in
+  let counts = Stdlib.ref (Array.make 64 0.0) and n = Stdlib.ref 0 in
   let rec count d =
-    match d with
-    | Zero -> 0.0
-    | One -> 1.0
-    | Node n -> (
-        match Hashtbl.find_opt memo n.uid with
-        | Some c -> c
-        | None ->
-            let sub child =
-              let c = count child in
-              let gap =
-                match child with
-                | Zero | One -> nvars - n.v - 1
-                | Node c' -> c'.v - n.v - 1
-              in
-              c *. (2.0 ** float_of_int gap)
-            in
-            let c = sub n.lo +. sub n.hi in
-            Hashtbl.add memo n.uid c;
-            c)
+    if d = 0 then 0.0
+    else if d = 1 then 1.0
+    else if visited m g d then !counts.(memo m d)
+    else
+      let v = var_of m d in
+      let sub child =
+        let c = count child in
+        let gap = (if child < 2 then nvars else var_of m child) - v - 1 in
+        c *. (2.0 ** float_of_int gap)
+      in
+      let c = sub (lo_of m d) +. sub (hi_of m d) in
+      if !n = Array.length !counts then
+        counts := Array.append !counts (Array.make !n 0.0);
+      !counts.(!n) <- c;
+      stamp m g d;
+      set_memo m d !n;
+      incr n;
+      c
   in
-  match d with
-  | Zero -> 0.0
-  | One -> 2.0 ** float_of_int nvars
-  | Node n -> count d *. (2.0 ** float_of_int n.v)
+  if d = 0 then 0.0
+  else if d = 1 then 2.0 ** float_of_int nvars
+  else count d *. (2.0 ** float_of_int (var_of m d))
 
-let iter_sat ~nvars d f =
+let iter_sat m ~nvars d f =
   let assign = Array.make nvars false in
   let rec go v d =
-    if v = nvars then (match d with One -> f assign | _ -> ())
-    else
-      match d with
-      | Zero -> ()
-      | One | Node _ ->
-          let follow b =
-            assign.(v) <- b;
-            let d' =
-              match d with
-              | Node n when n.v = v -> if b then n.hi else n.lo
-              | _ -> d
-            in
-            go (v + 1) d'
-          in
-          follow false;
-          follow true
+    if v = nvars then (if d = 1 then f assign)
+    else if d <> 0 then begin
+      let follow b =
+        assign.(v) <- b;
+        let d' =
+          if d >= 2 && var_of m d = v then if b then hi_of m d else lo_of m d
+          else d
+        in
+        go (v + 1) d'
+      in
+      follow false;
+      follow true
+    end
   in
   go 0 d
 

@@ -2,19 +2,24 @@
 
     This is the symbolic backbone of the model checker: every boolean
     function over the model's state bits is represented canonically, so
-    equality is physical equality and fixpoint detection is O(1).
+    equality is handle equality and fixpoint detection is O(1).
 
     Variables are identified by nonnegative integers; the variable order
     is the natural integer order (smaller index = closer to the root).
     All operations on two diagrams require that they were created by the
-    same manager. *)
+    same manager.
+
+    A diagram is a small integer handle into its manager's node store:
+    {!id} of a node, issued in allocation order and never reused. The
+    store keeps every node for as long as the manager lives; a sweep
+    ({!gc}) bounds the unique and computed tables, not the store. *)
 
 type manager
-(** Mutable state shared by a family of diagrams: the unique-node table
-    and the computed table that memoizes operations. *)
+(** Mutable state shared by a family of diagrams: the node store, the
+    unique-node table and the computed table that memoizes operations. *)
 
 type t
-(** A BDD node. Diagrams are immutable and maximally shared. *)
+(** A BDD node handle. Diagrams are immutable and maximally shared. *)
 
 val create_manager : ?gc_watermark:int -> unit -> manager
 (** [create_manager ()] returns a fresh manager with small, empty
@@ -27,20 +32,22 @@ val clear_caches : manager -> unit
 (** Empty the computed table (the unique table is kept, so existing
     diagrams stay valid). Useful between unrelated fixpoint runs. *)
 
-(** {1 Root registry and node reclamation}
+(** {1 Root registry and table sweeps}
 
     Hash-consing alone never forgets a node: a long fixpoint run grows
     the unique table with every intermediate result. The root registry
     names the diagrams a client still holds; {!gc} then sweeps every
-    unregistered node out of the unique table and computed table so
-    the OCaml GC can reclaim them.
+    unregistered node out of the unique table and computed table, so
+    both stay the size of the live diagrams. The node store is not
+    swept: a handle is never reused, so every handle keeps denoting its
+    function, and the store's memory lasts as long as the manager.
 
     {b Client obligation:} when {!gc}/{!maybe_gc} runs, every diagram
-    that will be used afterwards must be reachable from a registered
-    root — an unrooted diagram that survives in an OCaml variable
-    across a sweep is semantically intact but loses canonicity (a
-    later rebuild of an equal function may be a physically distinct
-    node). Collection only ever happens inside {!gc}/{!maybe_gc}, so
+    that will be used afterwards as canonical must be reachable from a
+    registered root — an unrooted diagram that survives in an OCaml
+    variable across a sweep is semantically intact but loses canonicity
+    (a later rebuild of an equal function may be a distinct node with a
+    new id). Collection only ever happens inside {!gc}/{!maybe_gc}, so
     code that never calls them is unaffected. *)
 
 val ref : manager -> t -> unit
@@ -56,9 +63,11 @@ val with_root : manager -> t -> (unit -> 'a) -> 'a
     reference on return or exception. *)
 
 val gc : manager -> unit
-(** Mark from the registered roots and sweep: unmarked nodes leave the
-    unique table, and the computed table is cleared (it may hold
-    swept nodes). Existing rooted diagrams remain valid and canonical. *)
+(** Mark from the registered roots and sweep: the unique table is
+    rebuilt from the marked nodes alone, and the computed table is
+    cleared (it may hold swept nodes). Node storage is left as it is,
+    so it grows for as long as the manager lives. Rooted diagrams
+    remain valid and canonical; unrooted ones remain valid. *)
 
 val maybe_gc : manager -> unit
 (** Run {!gc} iff the manager has a positive watermark and at least
@@ -110,27 +119,30 @@ val disj : manager -> t list -> t
 (** {1 Structure} *)
 
 val equal : t -> t -> bool
-(** Canonical, hence physical, equality. *)
+(** Canonical equality: equal functions are the same handle. *)
 
 val id : t -> int
-(** Unique id of the node (stable within a manager's lifetime). *)
+(** Unique id of the node: [0] for {!zero}, [1] for {!one}, and from
+    [2] up in allocation order for internal nodes. An id is never
+    reused within a manager, so every id issued after another is
+    larger. *)
 
-val top_var : t -> int
+val top_var : manager -> t -> int
 (** Root variable. @raise Invalid_argument on a constant. *)
 
-val low : t -> t
-val high : t -> t
+val low : manager -> t -> t
+val high : manager -> t -> t
 
-val size : t -> int
+val size : manager -> t -> int
 (** Number of distinct internal nodes reachable from the root. *)
 
-val support : t -> int list
+val support : manager -> t -> int list
 (** Sorted list of variables the function actually depends on.
 
-    Both walk the diagram by stamping its nodes with a fresh
-    generation, so like every other operation they must not run on one
-    diagram from two domains at once; walks of different managers from
-    different domains are fine. *)
+    Both walk the diagram by stamping its nodes with a generation kept
+    in the manager, so like every other operation they must not run on
+    one manager from two domains at once; walks of different managers
+    from different domains are fine. *)
 
 (** {1 Quantification and substitution} *)
 
@@ -154,11 +166,8 @@ val rename : manager -> (int -> int) -> t -> t
 (** [rename m f d] substitutes variable [i] by variable [f i].
     [f] must be strictly monotonic on the support of [d] (it must
     preserve the variable order); this is checked lazily and violations
-    raise [Invalid_argument]. *)
-
-val cofactor : manager -> int -> bool -> t -> t
-(** [cofactor m i b d] is the cofactor of [d] with variable [i] set to
-    [b]. *)
+    raise [Invalid_argument]. [f] runs during a walk of [m], so it must
+    not call {!size}, {!support}, [rename] or {!sat_count} on [m]. *)
 
 val restrict : manager -> t -> t -> t
 (** [restrict m f c] is the Coudert–Madre generalized cofactor: a
@@ -172,7 +181,7 @@ val restrict : manager -> t -> t -> t
 
 (** {1 Satisfying assignments} *)
 
-val any_sat : t -> (int * bool) list
+val any_sat : manager -> t -> (int * bool) list
 (** One satisfying assignment as (variable, value) pairs, mentioning only
     the variables on the chosen path. @raise Not_found on [zero]. *)
 
@@ -180,7 +189,7 @@ val sat_count : manager -> nvars:int -> t -> float
 (** Number of satisfying assignments over a space of [nvars] variables
     (as a float, since counts overflow 63 bits quickly). *)
 
-val iter_sat : nvars:int -> t -> (bool array -> unit) -> unit
+val iter_sat : manager -> nvars:int -> t -> (bool array -> unit) -> unit
 (** Enumerate all satisfying assignments over variables [0..nvars-1],
     calling the function with a full assignment array each time. Only
     usable for small spaces; intended for tests. *)

@@ -71,13 +71,14 @@ let rec lit_of_bdd t ~step d =
     match Node_tbl.find_opt t.node_lit key with
     | Some l -> l
     | None ->
-        let bit, primed = Enc.bit_of_bddvar (Bdd.top_var d) in
+        let m = Enc.mgr t.enc in
+        let bit, primed = Enc.bit_of_bddvar (Bdd.top_var m d) in
         let bit_var =
           (bits_at t (if primed then step + 1 else step)).(bit)
         in
         let v = Sat.pos bit_var in
-        let lo = lit_of_bdd t ~step (Bdd.low d) in
-        let hi = lit_of_bdd t ~step (Bdd.high d) in
+        let lo = lit_of_bdd t ~step (Bdd.low m d) in
+        let hi = lit_of_bdd t ~step (Bdd.high m d) in
         let n = Sat.pos (Sat.new_var t.solver) in
         (* n <-> (v ? hi : lo) *)
         Sat.add_clause t.solver [ Sat.negate n; Sat.negate v; hi ];

@@ -383,8 +383,8 @@ let order_clusters t clusters =
     |> List.rev |> Array.of_list
   in
   let k = Array.length cs in
-  let supp = Array.map Bdd.support cs in
-  let size = Array.map Bdd.size cs in
+  let supp = Array.map (Bdd.support t.mgr) cs in
+  let size = Array.map (Bdd.size t.mgr) cs in
   let curs = Array.map (List.filter (fun v -> v land 1 = 0)) supp in
   let mentions = Array.make (2 * t.nbits) 0 in
   let mention d c = List.iter (fun v -> mentions.(v) <- mentions.(v) + d) c in
@@ -427,7 +427,7 @@ let build_schedule t ~cluster_limit =
           | None -> (acc, Some d)
           | Some c ->
               let merged = Bdd.dand t.mgr c d in
-              if Bdd.size merged <= cluster_limit then (acc, Some merged)
+              if Bdd.size t.mgr merged <= cluster_limit then (acc, Some merged)
               else (c :: acc, Some d))
         ([], None) conjuncts
     in

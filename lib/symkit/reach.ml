@@ -92,7 +92,7 @@ let preimage ?(tuning = default_tuning) enc set =
 let minimize_frontier m ~reach frontier =
   let care = Bdd.dor m frontier (Bdd.dnot m reach) in
   let r = Bdd.restrict m frontier care in
-  if Bdd.size r < Bdd.size frontier then r else frontier
+  if Bdd.size m r < Bdd.size m frontier then r else frontier
 
 (* Rebuild a concrete trace from the rings [r0; ...; rk] where the last
    ring intersects [bad]. *)
@@ -191,8 +191,8 @@ let check ?(max_iterations = max_int) ?(cancel = fun () -> false)
   in
   Bdd.ref m bad_bdd;
   let init = Enc.init_bdd enc in
-  let peak = ref (Bdd.size init) in
-  let note d = peak := max !peak (Bdd.size d) in
+  let peak = ref (Bdd.size m init) in
+  let note d = peak := max !peak (Bdd.size m d) in
   let finish_stats iterations reachable =
     {
       iterations;
@@ -239,7 +239,7 @@ let check ?(max_iterations = max_int) ?(cancel = fun () -> false)
            through [Engine.instrumented] passes a live track, so it is
            paid on each image step there; a disabled track skips it. *)
         if Obs.enabled obs then begin
-          Obs.record frontier_g (Bdd.size fresh);
+          Obs.record frontier_g (Bdd.size m fresh);
           Obs.set_max obs "bdd.live_nodes" (Bdd.live_nodes m)
         end;
         Obs.stop sp;

@@ -33,8 +33,9 @@ type tuning = {
       (** minimize the frontier against the reached set with
           {!Bdd.restrict} before each image step *)
   gc_watermark : int;
-      (** reclaim dead BDD nodes at iteration boundaries once this
-          many nodes were allocated since the last sweep; [0] disables *)
+      (** sweep dead BDD nodes out of the unique and computed tables
+          at iteration boundaries once this many nodes were allocated
+          since the last sweep; [0] disables *)
   cluster_limit : int;
       (** node cap per conjunctive cluster (see {!Enc.schedule}) *)
 }

@@ -56,19 +56,19 @@ let envs nv =
 let all_envs () = envs nvars
 
 (* Evaluate a BDD under an environment by following the decision path. *)
-let rec eval_bdd env d =
+let rec eval_bdd m env d =
   if Bdd.is_zero d then false
   else if Bdd.is_one d then true
   else
-    let v = Bdd.top_var d in
-    eval_bdd env (if env.(v) then Bdd.high d else Bdd.low d)
+    let v = Bdd.top_var m d in
+    eval_bdd m env (if env.(v) then Bdd.high m d else Bdd.low m d)
 
 let prop_semantics =
   QCheck.Test.make ~name:"bdd agrees with truth table" ~count:200 form_arb
     (fun f ->
       let m = Bdd.create_manager () in
       let d = build m f in
-      List.for_all (fun env -> eval_bdd env d = eval env f) (all_envs ()))
+      List.for_all (fun env -> eval_bdd m env d = eval env f) (all_envs ()))
 
 let prop_canonical =
   QCheck.Test.make ~name:"equivalent formulas share a node" ~count:200
@@ -80,6 +80,17 @@ let prop_canonical =
       in
       Bdd.equal df dg = equiv)
 
+(* Reference cofactor for the quantifier properties: Shannon expansion
+   down the diagram's own structure, rebuilt with [ite]. *)
+let rec cofactor m v b d =
+  if Bdd.is_zero d || Bdd.is_one d || Bdd.top_var m d > v then d
+  else if Bdd.top_var m d = v then if b then Bdd.high m d else Bdd.low m d
+  else
+    Bdd.ite m
+      (Bdd.var m (Bdd.top_var m d))
+      (cofactor m v b (Bdd.high m d))
+      (cofactor m v b (Bdd.low m d))
+
 let prop_exists =
   QCheck.Test.make ~name:"exists = or of cofactors" ~count:100
     (QCheck.pair form_arb (QCheck.int_bound (nvars - 1))) (fun (f, v) ->
@@ -87,7 +98,7 @@ let prop_exists =
       let d = build m f in
       let q = Bdd.exists m (Bdd.varset m [ v ]) d in
       let expected =
-        Bdd.dor m (Bdd.cofactor m v false d) (Bdd.cofactor m v true d)
+        Bdd.dor m (cofactor m v false d) (cofactor m v true d)
       in
       Bdd.equal q expected)
 
@@ -98,7 +109,7 @@ let prop_forall =
       let d = build m f in
       let q = Bdd.forall m (Bdd.varset m [ v ]) d in
       let expected =
-        Bdd.dand m (Bdd.cofactor m v false d) (Bdd.cofactor m v true d)
+        Bdd.dand m (cofactor m v false d) (cofactor m v true d)
       in
       Bdd.equal q expected)
 
@@ -132,7 +143,7 @@ let prop_any_sat =
       let d = build m f in
       if Bdd.is_zero d then true
       else begin
-        let path = Bdd.any_sat d in
+        let path = Bdd.any_sat m d in
         let env = Array.make nvars false in
         (* Unmentioned variables are free; false works since the path
            already fixes every variable the function depends on along
@@ -147,7 +158,7 @@ let prop_iter_sat =
       let m = Bdd.create_manager () in
       let d = build m f in
       let seen = Hashtbl.create 64 in
-      Bdd.iter_sat ~nvars d (fun a -> Hashtbl.replace seen (Array.copy a) ());
+      Bdd.iter_sat m ~nvars d (fun a -> Hashtbl.replace seen (Array.copy a) ());
       List.for_all
         (fun env -> Hashtbl.mem seen env = eval env f)
         (all_envs ()))
@@ -184,23 +195,14 @@ let test_support () =
   let d =
     Bdd.dand m (Bdd.var m 1) (Bdd.dor m (Bdd.var m 3) (Bdd.var m 5))
   in
-  Alcotest.(check (list int)) "support" [ 1; 3; 5 ] (Bdd.support d)
+  Alcotest.(check (list int)) "support" [ 1; 3; 5 ] (Bdd.support m d)
 
 let test_size () =
   let m = Bdd.create_manager () in
   let d = Bdd.var m 0 in
-  Alcotest.(check int) "single var" 1 (Bdd.size d);
+  Alcotest.(check int) "single var" 1 (Bdd.size m d);
   let chain = Bdd.conj m (List.init 5 (fun i -> Bdd.var m i)) in
-  Alcotest.(check int) "conjunction chain" 5 (Bdd.size chain)
-
-let prop_cofactor_drops_var =
-  QCheck.Test.make ~name:"cofactor removes the variable from the support"
-    ~count:100
-    (QCheck.triple form_arb (QCheck.int_bound (nvars - 1)) QCheck.bool)
-    (fun (f, v, b) ->
-      let m = Bdd.create_manager () in
-      let d = Bdd.cofactor m v b (build m f) in
-      not (List.mem v (Bdd.support d)))
+  Alcotest.(check int) "conjunction chain" 5 (Bdd.size m chain)
 
 (* Coudert–Madre restrict: the result may differ from f outside the
    care set, but must agree with f everywhere inside it. *)
@@ -274,7 +276,7 @@ let test_gc_sweep () =
   in
   Alcotest.(check bool) "canonical after sweep" true (Bdd.equal rebuilt keep);
   Alcotest.(check bool) "rooted diagram still correct" true
-    (eval_bdd [| true; false; true; false; false; false |] keep);
+    (eval_bdd m [| true; false; true; false; false; false |] keep);
   Bdd.deref m keep
 
 let test_gc_roots_protocol () =
@@ -325,7 +327,7 @@ let prop_gc_transparent =
       let both = Bdd.dand m df dg in
       let ok =
         List.for_all
-          (fun env -> eval_bdd env both = (eval env f && eval env g))
+          (fun env -> eval_bdd m env both = (eval env f && eval env g))
           (all_envs ())
       in
       Bdd.deref m df;
@@ -393,7 +395,7 @@ let prop_shared_manager =
       if sweep then Bdd.gc m;
       let again = List.map (fun (op, _) -> op ()) ops in
       let right d (_, check) =
-        List.for_all (fun e -> check e (eval_bdd e d)) wide_envs
+        List.for_all (fun e -> check e (eval_bdd m e d)) wide_envs
       in
       (* Identity renaming rebuilds a diagram through the unique table
          alone, so it must return the very same node. After a sweep, a
@@ -413,21 +415,21 @@ let prop_shared_manager =
    doubles (the computed table is carried across each doubling), after
    a sweep, and when two domains walk two managers at once. *)
 
-let reference_walk d =
+let reference_walk m d =
   let seen = Hashtbl.create 64 in
   let rec go acc d =
     if Bdd.is_zero d || Bdd.is_one d || Hashtbl.mem seen (Bdd.id d) then acc
     else begin
       Hashtbl.add seen (Bdd.id d) ();
-      go (go (Bdd.top_var d :: acc) (Bdd.low d)) (Bdd.high d)
+      go (go (Bdd.top_var m d :: acc) (Bdd.low m d)) (Bdd.high m d)
     end
   in
   let vars = go [] d in
   (List.length vars, List.sort_uniq compare vars)
 
-let walks_agree d =
-  let n, vars = reference_walk d in
-  Bdd.size d = n && Bdd.support d = vars
+let walks_agree m d =
+  let n, vars = reference_walk m d in
+  Bdd.size m d = n && Bdd.support m d = vars
 
 (* A pseudo-random function over variables [0, nv): a complete decision
    tree with random leaves, reduced by the unique table. *)
@@ -463,25 +465,78 @@ let prop_walks_across_growth =
         ]
       in
       let before = ops () in
-      let ok_before = List.for_all walks_agree before in
+      let ok_before = List.for_all (walks_agree m) before in
       (* Grow the unique table from 4096 slots through at least three
          doublings with unrelated diagrams, walking those too. *)
-      let st = Random.State.make [| Bdd.size df; Bdd.size dg |] in
+      let st = Random.State.make [| Bdd.size m df; Bdd.size m dg |] in
       let filler = ref [] in
       while Bdd.peak_nodes m <= 8192 do
         filler := random_function m st 14 :: !filler
       done;
-      let ok_filler = List.for_all walks_agree !filler in
+      let ok_filler = List.for_all (walks_agree m) !filler in
       let after = ops () in
       let same = List.for_all2 Bdd.equal before after in
-      let ok_after = List.for_all walks_agree after in
+      let ok_after = List.for_all (walks_agree m) after in
       List.iter (Bdd.ref m) after;
       Bdd.gc m;
       let ok_gc =
-        List.for_all walks_agree after
+        List.for_all (walks_agree m) after
         && List.for_all2 Bdd.equal after (ops ())
       in
       ok_before && ok_filler && same && ok_after && ok_gc)
+
+(* Ids are issued from 2 in allocation order and never reused, so a
+   handle kept unrooted across a sweep still denotes its function, and
+   no later node can take its id: [Symkit.Bmc]'s Tseitin memo keys on
+   ids, so a reused id would be a silent wrong verdict. *)
+let node_ids m d =
+  let seen = Hashtbl.create 64 in
+  let rec go d =
+    if not (Bdd.is_zero d || Bdd.is_one d || Hashtbl.mem seen (Bdd.id d))
+    then begin
+      Hashtbl.add seen (Bdd.id d) ();
+      go (Bdd.low m d);
+      go (Bdd.high m d)
+    end
+  in
+  go d;
+  Hashtbl.fold (fun id () acc -> id :: acc) seen []
+
+let test_ids_never_reused () =
+  let m = Bdd.create_manager () in
+  let allocated () = List.assoc "bdd.nodes_allocated" (Bdd.counters m) in
+  let st = Random.State.make [| 29 |] in
+  let kept = random_function m st wide in
+  let truth = List.map (fun e -> eval_bdd m e kept) wide_envs in
+  let size = Bdd.size m kept and support = Bdd.support m kept in
+  Alcotest.(check bool) "ids so far issued from 2 in order" true
+    (List.for_all (fun id -> id >= 2 && id < 2 + allocated ()) (node_ids m kept));
+  (* Nothing is rooted: the sweep empties the unique table. *)
+  Bdd.gc m;
+  Alcotest.(check int) "sweep kept nothing" 0 (Bdd.live_nodes m);
+  let issued = allocated () in
+  (* Three pages' worth of new nodes: node storage grows, and the unique
+     table doubles more than once. *)
+  let fresh = ref [] in
+  while allocated () - issued < 3 * 4096 do
+    fresh := random_function m st 14 :: !fresh
+  done;
+  Alcotest.(check bool) "every new id above every earlier one" true
+    (List.for_all
+       (fun d ->
+         List.for_all
+           (fun id -> id >= 2 + issued && id < 2 + allocated ())
+           (node_ids m d))
+       !fresh);
+  Alcotest.(check (list bool)) "unrooted handle evaluates the same" truth
+    (List.map (fun e -> eval_bdd m e kept) wide_envs);
+  Alcotest.(check int) "unrooted handle keeps its size" size (Bdd.size m kept);
+  Alcotest.(check (list int)) "unrooted handle keeps its support" support
+    (Bdd.support m kept);
+  let d = Bdd.dor m kept (Bdd.var m 0) in
+  Alcotest.(check (list bool)) "an operation on it stays correct"
+    (List.map2 (fun e t -> t || e.(0)) wide_envs truth)
+    (List.map (fun e -> eval_bdd m e d) wide_envs)
 
 let test_walks_two_domains () =
   let walk_many seed () =
@@ -491,7 +546,7 @@ let test_walks_two_domains () =
     let ds = List.map (build m) forms in
     (* Walk every diagram several times so the two domains' walks
        interleave; each pass must agree with the reference. *)
-    List.init 5 (fun _ -> List.for_all walks_agree ds)
+    List.init 5 (fun _ -> List.for_all (walks_agree m) ds)
     |> List.for_all Fun.id
   in
   let d1 = Domain.spawn (walk_many 1) and d2 = Domain.spawn (walk_many 2) in
@@ -504,7 +559,6 @@ let qtests =
     [
       prop_shared_manager;
       prop_walks_across_growth;
-      prop_cofactor_drops_var;
       prop_restrict_sound;
       prop_restrict_full_care;
       prop_gc_transparent;
@@ -532,6 +586,8 @@ let suite =
     Alcotest.test_case "gc roots protocol" `Quick test_gc_roots_protocol;
     Alcotest.test_case "gc watermark" `Quick test_gc_watermark;
     Alcotest.test_case "walks from two domains" `Quick test_walks_two_domains;
+    Alcotest.test_case "ids never reused across gc" `Quick
+      test_ids_never_reused;
   ]
   @ qtests
 

@@ -264,7 +264,9 @@ let get_str name json key =
 (* The 4-node BDD rows: one default-tuned fixpoint per Section 5
    configuration, each well inside the 30 s bar (the seed took 88-121 s
    per experiment), with verdicts, iteration counts and trace lengths
-   pinned, and the compile's share of each row's time recorded. *)
+   pinned, the kernel's work (nodes allocated, computed-table hits and
+   misses) pinned as bench/main.ml gates it, and the compile's share of
+   each row's time and the process's peak RSS recorded. *)
 let test_bdd () =
   let name = "BENCH_bdd.json" in
   let j = load name in
@@ -281,19 +283,25 @@ let test_bdd () =
         (get_num name r "min", get_num name r "max")
   | None -> Alcotest.fail "bdd: no seed_reference_s");
   let rows = get_rows name j in
+  let e1_work = (1288952, 906870, 3829902) in
   let expected =
     [
-      ("E1 passive", "safe", 31, 0);
-      ("E2 time-windows", "safe", 31, 0);
-      ("E3 small-shifting", "safe", 31, 0);
-      ("E4 full-shifting", "violated", 14, 15);
-      ("E5 full-shifting-nodup", "violated", 16, 17);
+      ("E1 passive", "safe", 31, 0, e1_work);
+      ("E2 time-windows", "safe", 31, 0, e1_work);
+      ("E3 small-shifting", "safe", 31, 0, e1_work);
+      ("E4 full-shifting", "violated", 14, 15, (491185, 362293, 1237393));
+      ( "E5 full-shifting-nodup",
+        "violated",
+        16,
+        17,
+        (582963, 414020, 1553077) );
     ]
   in
   Alcotest.(check int) "bdd: one row per experiment" (List.length expected)
     (List.length rows);
   List.iter2
-    (fun (config, verdict, iterations, trace_len) row ->
+    (fun (config, verdict, iterations, trace_len, (allocated, hits, misses))
+         row ->
       check_keys name row
         [
           "config";
@@ -305,6 +313,9 @@ let test_bdd () =
           "gc_count";
           "nodes_allocated";
           "bdd_peak_nodes";
+          "cache_hits";
+          "cache_misses";
+          "vm_hwm_mb";
           "compile_s";
           "wall_s";
         ];
@@ -315,6 +326,14 @@ let test_bdd () =
         (int_of_float (get_num name row "iterations"));
       Alcotest.(check int) (config ^ ": trace length") trace_len
         (int_of_float (get_num name row "trace_len"));
+      Alcotest.(check (list int))
+        (config ^ ": nodes allocated, cache hits and misses")
+        [ allocated; hits; misses ]
+        (List.map
+           (fun k -> int_of_float (get_num name row k))
+           [ "nodes_allocated"; "cache_hits"; "cache_misses" ]);
+      Alcotest.(check bool) (config ^ ": peak RSS recorded") true
+        (get_num name row "vm_hwm_mb" > 0.0);
       Alcotest.(check bool) (config ^ ": under 30s") true
         (get_num name row "wall_s" < 30.0);
       Alcotest.(check bool) (config ^ ": compile within the row") true

@@ -121,13 +121,13 @@ let test_full_shifting_violated_and_traces_agree () =
     [ bdd_trace; bmc_trace ]
 
 (* The default BDD path's exact work on E1-E5 at 3 nodes: verdict,
-   iterations, trace length and node allocations. The kernel's table
-   layout only changes speed; a change in these counts is a change in
-   the algorithm. *)
+   iterations, trace length, node allocations and computed-table hits
+   and misses. The kernel's storage layout only changes speed; a change
+   in these counts is a change in the search. *)
 let test_section5_work_pinned () =
   let n = 3 in
   List.iter
-    (fun (cfg, verdict, iterations, trace_len, allocated) ->
+    (fun (cfg, verdict, iterations, trace_len, (allocated, hits, misses)) ->
       let mgr = Bdd.create_manager () in
       let enc = Enc.create mgr (Tta_model.Build.model cfg) in
       let bad = Tta_model.Props.integrated_node_frozen ~nodes:n in
@@ -142,19 +142,40 @@ let test_section5_work_pinned () =
       Alcotest.(check int) (name ^ ": iterations") iterations
         stats.Reach.iterations;
       Alcotest.(check int) (name ^ ": trace length") trace_len len;
+      let counter k = List.assoc k (Bdd.counters mgr) in
       Alcotest.(check int) (name ^ ": nodes allocated") allocated
-        (List.assoc "bdd.nodes_allocated" (Bdd.counters mgr)))
+        (counter "bdd.nodes_allocated");
+      Alcotest.(check int) (name ^ ": cache hits") hits
+        (counter "bdd.cache_hits");
+      Alcotest.(check int) (name ^ ": cache misses") misses
+        (counter "bdd.cache_misses"))
     [
-      (Tta_model.Configs.passive ~nodes:n (), "safe", 24, 0, 156850);
-      (Tta_model.Configs.time_windows ~nodes:n (), "safe", 24, 0, 156850);
-      (Tta_model.Configs.small_shifting ~nodes:n (), "safe", 24, 0, 156850);
-      (Tta_model.Configs.full_shifting ~nodes:n (), "violated", 12, 13, 132167);
+      ( Tta_model.Configs.passive ~nodes:n (),
+        "safe",
+        24,
+        0,
+        (156850, 116737, 358242) );
+      ( Tta_model.Configs.time_windows ~nodes:n (),
+        "safe",
+        24,
+        0,
+        (156850, 116737, 358242) );
+      ( Tta_model.Configs.small_shifting ~nodes:n (),
+        "safe",
+        24,
+        0,
+        (156850, 116737, 358242) );
+      ( Tta_model.Configs.full_shifting ~nodes:n (),
+        "violated",
+        12,
+        13,
+        (132167, 104210, 284149) );
       ( Tta_model.Configs.full_shifting ~nodes:n
           ~forbid_cold_start_duplication:true (),
         "violated",
         19,
         20,
-        190311 );
+        (190311, 131234, 445870) );
     ]
 
 (* The compile that every BDD verdict starts with, pinned for E1-E5 at
@@ -175,8 +196,11 @@ let cluster_shape model =
   let enc = Enc.create (Bdd.create_manager ()) model in
   let s = Enc.schedule enc in
   ( Enc.n_partitions enc,
-    Array.to_list (Array.map Bdd.size s.Enc.parts),
-    Array.to_list (Array.map (fun d -> List.length (Bdd.support d)) s.Enc.parts),
+    Array.to_list (Array.map (Bdd.size (Enc.mgr enc)) s.Enc.parts),
+    Array.to_list
+      (Array.map
+         (fun d -> List.length (Bdd.support (Enc.mgr enc) d))
+         s.Enc.parts),
     List.assoc "bdd.nodes_allocated" (Bdd.counters (Enc.mgr enc)) )
 
 let test_compile_pinned () =
