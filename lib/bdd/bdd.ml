@@ -44,18 +44,19 @@ type manager = {
   mutable marks : Bytes.t;
   mutable gen : int;
   mutable scratch : int array array;
-  (* Unique table: open addressing with linear probing on a node's own
-     (v, lo, hi); -1 marks an empty slot. Load stays <= 1/2. *)
+  (* Unique table: open addressing with linear probing on the hash of a
+     node's own (v, lo, hi). A filled slot holds the node's tag (the
+     hash's low [tag_bits] bits) above its handle, [tag lsl 32 lor d],
+     so a probe reads a node's page only when the tags are equal; -1
+     marks an empty slot. Load stays <= 1/2. *)
   mutable unique : int array;
   mutable live : int; (* unique-table population *)
   mutable next_uid : int;
   (* Computed table: direct-mapped, lossy, shared by every operation.
-     Slot i maps key (k1.(i), k2.(i), k3.(i)) to res.(i); k1 carries
-     the operation tag, and -1 marks an empty slot. *)
-  mutable k1 : int array;
-  mutable k2 : int array;
-  mutable k3 : int array;
-  mutable res : int array;
+     Slot i is the four words from 4i: key1 (carrying the operation
+     tag; -1 marks an empty slot), key2, key3 and the result, so a
+     lookup and its store touch one cache line. *)
+  mutable cache : int array;
   mutable next_vs_id : int;
   roots : (int, int) Hashtbl.t; (* handle -> refcount *)
   mutable gc_watermark : int; (* allocations between sweeps; 0 = GC off *)
@@ -71,15 +72,24 @@ type manager = {
   mutable peak : int; (* largest unique-table population seen *)
 }
 
-(* The unique and computed tables start at [initial_slots] entries;
-   the computed table doubles with the unique table until it reaches
-   [cache_cap] entries. Node storage grows a page of [page_size] nodes
-   at a time. *)
+(* The unique and computed tables start at [initial_slots] slots; the
+   computed table doubles with the unique table until it reaches
+   [cache_cap] slots. Node storage grows a page of [page_size] nodes at
+   a time. *)
 let initial_slots = 4096
 let cache_cap = 1 lsl 18
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
+
+(* A unique-table slot packs a [tag_bits]-bit tag, the low bits of the
+   node's hash, above a 32-bit handle. A node's home slot is
+   [tag land (len - 1)], so [grow] re-places entries without reading a
+   node; while the table has at most 2^tag_bits slots, that is the slot
+   the full hash would pick. *)
+let tag_bits = 30
+let tag_mask = (1 lsl tag_bits) - 1
+let handle_mask = (1 lsl 32) - 1
 
 (* Field [k] of node [d]. The offset is below the page's length by
    construction, so only the page index is checked. *)
@@ -96,11 +106,15 @@ let top_var m d =
 let low m d = if d < 2 then invalid_arg "Bdd.low: constant" else lo_of m d
 let high m d = if d < 2 then invalid_arg "Bdd.high: constant" else hi_of m d
 
-let resize_cache m n =
-  m.k1 <- Array.make n (-1);
-  m.k2 <- Array.make n 0;
-  m.k3 <- Array.make n 0;
-  m.res <- Array.make n (-1)
+(* A computed table of [n] empty slots. *)
+let empty_cache n =
+  let t = Array.make (4 * n) 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set t (4 * i) (-1)
+  done;
+  t
+
+let cache_slots m = Array.length m.cache lsr 2
 
 let create_manager ?(gc_watermark = 0) () =
   let page = Array.make (3 * page_size) 0 in
@@ -114,10 +128,7 @@ let create_manager ?(gc_watermark = 0) () =
     unique = Array.make initial_slots (-1);
     live = 0;
     next_uid = 2;
-    k1 = Array.make initial_slots (-1);
-    k2 = Array.make initial_slots 0;
-    k3 = Array.make initial_slots 0;
-    res = Array.make initial_slots (-1);
+    cache = empty_cache initial_slots;
     next_vs_id = 0;
     roots = Hashtbl.create 64;
     gc_watermark;
@@ -132,7 +143,10 @@ let create_manager ?(gc_watermark = 0) () =
 
 let clear_caches m =
   m.n_sweep <- m.n_sweep + 1;
-  Array.fill m.k1 0 (Array.length m.k1) (-1)
+  let t = m.cache in
+  for i = 0 to cache_slots m - 1 do
+    Array.unsafe_set t (4 * i) (-1)
+  done
 
 (* Operation tags folded into the computed table's first key. *)
 let op_and = 0
@@ -145,79 +159,113 @@ let q_exists = 6
 let q_forall = 7
 let q_and_exists = 8
 
+(* Index in [t] of the first of the four words of key (k, b, c)'s slot. *)
+let cache_index t k b c = (hash k b c land ((Array.length t lsr 2) - 1)) lsl 2
+
 (* The result stored under the key, or -1 (never a handle) on a miss. *)
 let cache_find m tag a b c =
   let k = (a lsl 4) lor tag in
-  let i = hash k b c land (Array.length m.k1 - 1) in
-  if m.k1.(i) = k && m.k2.(i) = b && m.k3.(i) = c then (
+  let t = m.cache in
+  let j = cache_index t k b c in
+  if
+    Array.unsafe_get t j = k
+    && Array.unsafe_get t (j + 1) = b
+    && Array.unsafe_get t (j + 2) = c
+  then (
     m.n_hit <- m.n_hit + 1;
-    m.res.(i))
+    Array.unsafe_get t (j + 3))
   else (
     m.n_miss <- m.n_miss + 1;
     -1)
 
-(* Stores and returns [r]. The slot is recomputed, not remembered from
-   [cache_find]: the recursion in between may have resized the table. *)
-let cache_put m k b c r =
-  let i = hash k b c land (Array.length m.k1 - 1) in
-  m.k1.(i) <- k;
-  m.k2.(i) <- b;
-  m.k3.(i) <- c;
-  m.res.(i) <- r
+(* Stores [r] under the key in table [t]. The slot is recomputed, not
+   remembered from [cache_find]: the recursion in between may have
+   resized the table. *)
+let cache_put t k b c r =
+  let j = cache_index t k b c in
+  Array.unsafe_set t j k;
+  Array.unsafe_set t (j + 1) b;
+  Array.unsafe_set t (j + 2) c;
+  Array.unsafe_set t (j + 3) r
 
 let cache_add m tag a b c r =
-  cache_put m ((a lsl 4) lor tag) b c r;
+  cache_put m.cache ((a lsl 4) lor tag) b c r;
   r
 
-(* The slot holding node (v, lo, hi), or the empty slot where it
-   belongs. *)
-let rec probe pages tbl v lo hi i =
-  let d = Array.unsafe_get tbl i in
+(* The slot holding node (v, lo, hi), whose hash has the low bits
+   [tag], or the empty slot where it belongs. A node's fields are read
+   only behind an equal tag. *)
+let rec probe pages tbl tag v lo hi i =
+  let e = Array.unsafe_get tbl i in
   if
-    d >= 0
-    && (field pages d 0 <> v || field pages d 1 <> lo || field pages d 2 <> hi)
-  then probe pages tbl v lo hi ((i + 1) land (Array.length tbl - 1))
+    e >= 0
+    && (e lsr 32 <> tag
+       ||
+       let d = e land handle_mask in
+       field pages d 0 <> v || field pages d 1 <> lo || field pages d 2 <> hi)
+  then probe pages tbl tag v lo hi ((i + 1) land (Array.length tbl - 1))
   else i
 
-let slot pages tbl v lo hi =
-  probe pages tbl v lo hi (hash v lo hi land (Array.length tbl - 1))
+let tag_of v lo hi = hash v lo hi land tag_mask
+
+let slot pages tbl tag v lo hi =
+  probe pages tbl tag v lo hi (tag land (Array.length tbl - 1))
 
 (* Doubling the unique table keeps every node, so every computed-table
    entry stays true: rehash the filled ones into the larger computed
-   table instead of starting it empty. *)
+   table instead of starting it empty. The unique entries are distinct,
+   so each goes to the first empty slot from its tag's index. *)
 let grow m =
   let old = m.unique in
-  let tbl = Array.make (2 * Array.length old) (-1) in
+  let mask = (2 * Array.length old) - 1 in
+  let tbl = Array.make (mask + 1) (-1) in
   Array.iter
-    (fun d ->
-      if d >= 0 then
-        tbl.(slot m.pages tbl (var_of m d) (lo_of m d) (hi_of m d)) <- d)
+    (fun e ->
+      if e >= 0 then begin
+        let i = Stdlib.ref ((e lsr 32) land mask) in
+        while Array.unsafe_get tbl !i >= 0 do
+          i := (!i + 1) land mask
+        done;
+        Array.unsafe_set tbl !i e
+      end)
     old;
   m.unique <- tbl;
-  if Array.length m.k1 < cache_cap then begin
-    let k1 = m.k1 and k2 = m.k2 and k3 = m.k3 and res = m.res in
-    resize_cache m (min cache_cap (Array.length tbl));
-    Array.iteri
-      (fun i k -> if k >= 0 then cache_put m k k2.(i) k3.(i) res.(i))
-      k1
+  let slots = cache_slots m in
+  if slots < cache_cap then begin
+    let t = m.cache in
+    let t' = empty_cache (min cache_cap (Array.length tbl)) in
+    for i = 0 to slots - 1 do
+      let j = 4 * i in
+      let k = Array.unsafe_get t j in
+      if k >= 0 then
+        cache_put t' k
+          (Array.unsafe_get t (j + 1))
+          (Array.unsafe_get t (j + 2))
+          (Array.unsafe_get t (j + 3))
+    done;
+    m.cache <- t'
   end
 
 (* Hash-consing constructor with the two ROBDD reduction rules. *)
 let mk m v lo hi =
   if lo = hi then lo
   else
-    let i = slot m.pages m.unique v lo hi in
-    let d = m.unique.(i) in
-    if d >= 0 then d
+    let tag = tag_of v lo hi and tbl = m.unique in
+    let i = slot m.pages tbl tag v lo hi in
+    let e = tbl.(i) in
+    if e >= 0 then e land handle_mask
     else begin
       let d = m.next_uid in
+      if d > handle_mask then
+        failwith
+          "Bdd.mk: node handles exhausted (a handle must fit in 32 bits)";
       if d lsr page_bits = Array.length m.pages then
         m.pages <- Array.append m.pages [| Array.make (3 * page_size) 0 |];
       let page = m.pages.(d lsr page_bits) and b = 3 * (d land page_mask) in
       page.(b) <- v;
       page.(b + 1) <- lo;
       page.(b + 2) <- hi;
-      m.unique.(i) <- d;
+      tbl.(i) <- (tag lsl 32) lor d;
       m.next_uid <- d + 1;
       m.n_alloc <- m.n_alloc + 1;
       m.alloc_since_gc <- m.alloc_since_gc + 1;
@@ -271,9 +319,11 @@ let gc m =
   m.live <- 0;
   let rec mark d =
     if d >= 2 then begin
-      let i = slot m.pages tbl (var_of m d) (lo_of m d) (hi_of m d) in
+      let v = var_of m d and lo = lo_of m d and hi = hi_of m d in
+      let tag = tag_of v lo hi in
+      let i = slot m.pages tbl tag v lo hi in
       if tbl.(i) < 0 then begin
-        tbl.(i) <- d;
+        tbl.(i) <- (tag lsl 32) lor d;
         m.live <- m.live + 1;
         mark (lo_of m d);
         mark (hi_of m d)
@@ -640,7 +690,7 @@ let stats m =
   Printf.sprintf
     "unique=%d/%d peak=%d computed=%d next_uid=%d hits=%d misses=%d \
      allocs=%d sweeps=%d gcs=%d roots=%d"
-    m.live (Array.length m.unique) m.peak (Array.length m.k1) m.next_uid
+    m.live (Array.length m.unique) m.peak (cache_slots m) m.next_uid
     m.n_hit m.n_miss m.n_alloc m.n_sweep m.n_gc (Hashtbl.length m.roots)
 
 (* Exported names for the root registry; defined last because [ref]

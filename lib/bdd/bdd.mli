@@ -12,7 +12,21 @@
     A diagram is a small integer handle into its manager's node store:
     {!id} of a node, issued in allocation order and never reused. The
     store keeps every node for as long as the manager lives; a sweep
-    ({!gc}) bounds the unique and computed tables, not the store. *)
+    ({!gc}) bounds the unique and computed tables, not the store.
+
+    Both tables are flat [int] arrays laid out so that a probe touches
+    one cache line. A computed-table slot is four adjacent words: three
+    keys (the first carries the operation) and the result. A
+    unique-table slot packs a 30-bit tag of the node's hash beside its
+    32-bit handle, so a probe reads a node only behind an equal tag and
+    growing the table reads no node. The layout changes speed only: the
+    same operations allocate the same nodes with the same ids and count
+    the same computed-table hits and misses.
+
+    {b Limit:} a handle must fit the 32-bit field beside the tag, so a
+    manager issues at most 2{^ 32} − 2 internal nodes (ids 2 to
+    2{^ 32} − 1), counting nodes swept by {!gc}; the operation that
+    would create one more raises [Failure]. *)
 
 type manager
 (** Mutable state shared by a family of diagrams: the node store, the
@@ -209,4 +223,4 @@ val counters : manager -> (string * int) list
 
 val stats : manager -> string
 (** Human-readable statistics: unique-table population and slots,
-    filled and total computed-table entries, and the effort counters. *)
+    computed-table slots, and the effort counters. *)

@@ -538,6 +538,144 @@ let test_ids_never_reused () =
     (List.map2 (fun e t -> t || e.(0)) wide_envs truth)
     (List.map (fun e -> eval_bdd m e d) wide_envs)
 
+(* ------------------------------------------------------------------ *)
+(* Table layout: the unique table tags each slot with hash bits beside
+   the handle and re-places entries from the tag when it doubles; the
+   computed table keeps its entries across a doubling. *)
+
+(* Every minterm over variables [0, n), built bottom-up a level at a
+   time: level j holds the 2^(n-j) minterms over [j, n), each a node on
+   variable j above one of level j+1. The top level is returned,
+   minterm k at index k (variable j takes bit j of k). *)
+let minterms m n =
+  let rec level j =
+    if j = n then [| Bdd.one |]
+    else
+      let below = level (j + 1) in
+      Array.init
+        (2 * Array.length below)
+        (fun k ->
+          let lit = if k land 1 = 1 then Bdd.var m j else Bdd.nvar m j in
+          Bdd.dand m lit below.(k lsr 1))
+  in
+  level 0
+
+let minterm_env n k = Array.init n (fun j -> (k lsr j) land 1 = 1)
+
+(* [minterms m n]'s nodes: 2^(n+1) - 2 minterm nodes, plus the literals
+   of variables 0 .. n-2 that [Bdd.var]/[Bdd.nvar] create on the way. *)
+let minterm_nodes n = (1 lsl (n + 1)) - 2 + (2 * (n - 1))
+let table_n = 17
+
+(* (unique-table slots, computed-table slots) from [Bdd.stats]. *)
+let table_slots m =
+  Scanf.sscanf (Bdd.stats m) "unique=%d/%d peak=%d computed=%d"
+    (fun _ unique _ computed -> (unique, computed))
+
+(* 2^18 distinct nodes: the unique table doubles from 4096 to 2^19
+   slots, and with ~2^18 nodes about 32 pairs share all 30 tag bits, so
+   probes pass tag-equal slots that hold a different node. *)
+let test_unique_table_tags () =
+  let m = Bdd.create_manager () in
+  let allocated () = List.assoc "bdd.nodes_allocated" (Bdd.counters m) in
+  let top = minterms m table_n in
+  Alcotest.(check int) "every node distinct" (minterm_nodes table_n)
+    (allocated ());
+  Alcotest.(check int) "all of them in the unique table" (allocated ())
+    (Bdd.live_nodes m);
+  Alcotest.(check bool) "the unique table doubled past 2^18 slots" true
+    (fst (table_slots m) >= 1 lsl 19);
+  let again = minterms m table_n in
+  Alcotest.(check bool) "rebuilding returns the same ids" true
+    (Array.for_all2 Bdd.equal top again);
+  Alcotest.(check int) "rebuilding allocates nothing" (minterm_nodes table_n)
+    (allocated ());
+  let k = 0x15a5a in
+  Alcotest.(check (list bool)) "a minterm holds on its own point only"
+    [ true; false; false ]
+    (List.map
+       (fun k' -> eval_bdd m (minterm_env table_n k') top.(k))
+       [ k; k lxor 1; k lxor (1 lsl (table_n - 1)) ])
+
+let test_gc_half_rooted () =
+  let m = Bdd.create_manager () in
+  let allocated () = List.assoc "bdd.nodes_allocated" (Bdd.counters m) in
+  let top = minterms m table_n in
+  let st = Random.State.make [| 31 |] in
+  let rooted = Array.map (fun _ -> Random.State.bool st) top in
+  Array.iteri (fun k d -> if rooted.(k) then Bdd.ref m d) top;
+  let kept = Hashtbl.create 4096 in
+  Array.iteri
+    (fun k d ->
+      if rooted.(k) then
+        List.iter (fun id -> Hashtbl.replace kept id ()) (node_ids m d))
+    top;
+  (* Every id issued so far is below [issued]. *)
+  let issued = 2 + allocated () in
+  Bdd.gc m;
+  Alcotest.(check int) "the sweep kept exactly the rooted nodes"
+    (Hashtbl.length kept) (Bdd.live_nodes m);
+  let again = minterms m table_n in
+  let ok = ref true and fresh = ref 0 in
+  Array.iteri
+    (fun k d ->
+      if rooted.(k) then ok := !ok && Bdd.equal d top.(k)
+      else begin
+        let old = top.(k) in
+        let holds k' = eval_bdd m (minterm_env table_n k') old in
+        ok :=
+          !ok && holds k
+          && (not (holds (k lxor 1)))
+          && (not (holds (k lxor (1 lsl (table_n - 1)))))
+          && List.for_all
+               (fun id -> Hashtbl.mem kept id || id >= issued)
+               (node_ids m d)
+          && Bdd.id d >= issued;
+        incr fresh
+      end)
+    again;
+  Alcotest.(check bool)
+    "rooted rebuild to their ids; unrooted keep their semantics and \
+     rebuild to ids above every earlier one"
+    true !ok;
+  Alcotest.(check bool) "about half unrooted" true
+    (!fresh > Array.length top / 3 && !fresh < 2 * Array.length top / 3)
+
+let test_computed_table_doubling () =
+  let m = Bdd.create_manager () in
+  let hits () = List.assoc "bdd.cache_hits" (Bdd.counters m)
+  and misses () = List.assoc "bdd.cache_misses" (Bdd.counters m) in
+  let a = Bdd.dor m (Bdd.var m 0) (Bdd.var m 2)
+  and b = Bdd.dand m (Bdd.var m 1) (Bdd.nvar m 3) in
+  let set = Bdd.varset m [ 1 ] in
+  let ops () =
+    [
+      Bdd.dand m a b;
+      Bdd.xor m a b;
+      Bdd.exists m set b;
+      Bdd.and_exists m set a b;
+    ]
+  in
+  let first = ops () in
+  let _, slots = table_slots m in
+  (* [Bdd.var] creates a node through the unique table alone, without
+     a computed-table lookup or store. *)
+  let v = ref 100 in
+  while snd (table_slots m) = slots do
+    ignore (Bdd.var m !v);
+    incr v
+  done;
+  Alcotest.(check int) "the computed table doubled" (2 * slots)
+    (snd (table_slots m));
+  let h = hits () and mi = misses () in
+  let second = ops () in
+  Alcotest.(check bool) "same results" true
+    (List.for_all2 Bdd.equal first second);
+  Alcotest.(check (pair int int))
+    "every repeated op is one computed-table hit"
+    (h + List.length first, mi)
+    (hits (), misses ())
+
 let test_walks_two_domains () =
   let walk_many seed () =
     let m = Bdd.create_manager () in
@@ -588,6 +726,12 @@ let suite =
     Alcotest.test_case "walks from two domains" `Quick test_walks_two_domains;
     Alcotest.test_case "ids never reused across gc" `Quick
       test_ids_never_reused;
+    Alcotest.test_case "unique table: tags across doublings" `Quick
+      test_unique_table_tags;
+    Alcotest.test_case "gc with half the functions rooted" `Quick
+      test_gc_half_rooted;
+    Alcotest.test_case "computed table: hits survive a doubling" `Quick
+      test_computed_table_doubling;
   ]
   @ qtests
 

@@ -265,8 +265,9 @@ let get_str name json key =
    configuration, each well inside the 30 s bar (the seed took 88-121 s
    per experiment), with verdicts, iteration counts and trace lengths
    pinned, the kernel's work (nodes allocated, computed-table hits and
-   misses) pinned as bench/main.ml gates it, and the compile's share of
-   each row's time and the process's peak RSS recorded. *)
+   misses) pinned as bench/main.ml gates it, the compile's share of
+   each row's time and the row's peak RSS recorded, and each row's
+   seconds quoted in EXPERIMENTS.md. *)
 let test_bdd () =
   let name = "BENCH_bdd.json" in
   let j = load name in
@@ -338,6 +339,58 @@ let test_bdd () =
         (get_num name row "wall_s" < 30.0);
       Alcotest.(check bool) (config ^ ": compile within the row") true
         (get_num name row "compile_s" <= get_num name row "wall_s"))
+    expected rows;
+  (* E1-E3 are one transition system, so one peak, as the bench gates. *)
+  (match List.map (fun row -> get_num name row "vm_hwm_mb") rows with
+  | e1 :: e2 :: e3 :: _ ->
+      List.iter
+        (fun (config, hwm) ->
+          Alcotest.(check bool)
+            (config ^ ": peak RSS within 5 % of E1's")
+            true
+            (Float.abs (hwm -. e1) <= 0.05 *. e1))
+        [ ("E2", e2); ("E3", e3) ]
+  | _ -> Alcotest.fail "bdd: fewer than three rows");
+  (* EXPERIMENTS.md's Section 5.2 table quotes these rows' seconds in
+     the column that names this artifact and its commit. *)
+  let commit = get_str name j "commit" in
+  let short =
+    String.sub commit 0 7
+    ^ if String.ends_with ~suffix:"+dirty" commit then "+dirty" else ""
+  in
+  let cells line = List.map String.trim (String.split_on_char '|' line) in
+  let lines =
+    In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let header =
+    match List.find_opt (String.starts_with ~prefix:"| Id |") lines with
+    | Some h -> cells h
+    | None -> Alcotest.fail "EXPERIMENTS.md: no Section 5.2 table"
+  in
+  let column =
+    match
+      List.find_index (fun c -> contains "BENCH_bdd.json" c) header
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "EXPERIMENTS.md: no BENCH_bdd.json column"
+  in
+  Alcotest.(check bool)
+    ("EXPERIMENTS.md: the column names commit " ^ short)
+    true
+    (contains ("`" ^ short ^ "`") (List.nth header column));
+  List.iter2
+    (fun (config, _, _, _, _) row ->
+      let id = List.hd (String.split_on_char ' ' config) in
+      match
+        List.find_opt (String.starts_with ~prefix:("| " ^ id ^ " |")) lines
+      with
+      | None -> Alcotest.failf "EXPERIMENTS.md: no %s row" id
+      | Some line ->
+          Alcotest.(check string)
+            ("EXPERIMENTS.md: " ^ id ^ " seconds from the artifact")
+            (Printf.sprintf "%.1f s" (get_num name row "wall_s"))
+            (List.nth (cells line) column))
     expected rows
 
 (* E9's counterexample through SAT-BMC at 4 nodes, depth 15: verdict,
